@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
+from ._geometric import u_sum, v_sum
 from .chain import (
     ReversibleChain,
     as_distribution,
@@ -57,10 +57,6 @@ __all__ = [
 POWER_FLOOR = 1e-320
 
 NORM_KINDS = ("l2", "l4", "linf")
-
-# Same threshold as the exact-error window weight: direct summation below,
-# high-precision closed forms above.
-_DIRECT_N = 2_000_000
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -94,24 +90,11 @@ def v_aggregate(b: float, n: int) -> float:
 
     Equals ``sum_j b^j + 2 sum_{j<k<=n} b^k`` (the nested form collapses by
     counting how many j precede each k).  Monotone in both arguments and
-    capped by ``2 / (1-b)^2`` for every n.
+    capped by ``2 / (1-b)^2`` for every n.  Evaluated in O(1), to a few ulp
+    for every n, by the float64 kernel of :mod:`mcmc_certify._geometric`.
     """
     b, n = _validate_bn(b, n)
-    if b == 0.0:
-        return 0.0
-    if n <= _DIRECT_N:
-        k = np.arange(1, n + 1, dtype=np.float64)
-        with np.errstate(under="ignore"):
-            powers = b**k
-        return float(np.dot(2.0 * k - 1.0, powers))
-    # Huge windows: arithmetico-geometric closed form at 60 digits, immune to
-    # the 1/(1-b)^2 cancellation.
-    with mp.workdps(60):
-        x = mp.mpf(b)
-        xn = x**n
-        geo = x * (1 - xn) / (1 - x)
-        arith = x * (1 - (n + 1) * xn + n * xn * x) / (1 - x) ** 2
-        return float(2 * arith - geo)
+    return float(v_sum(n, b))
 
 
 def u_aggregate(b: float, n: int) -> float:
@@ -119,41 +102,15 @@ def u_aggregate(b: float, n: int) -> float:
 
     The cross terms decay in ``sqrt(b)``, which is what the fourth-moment
     route pays for its weaker norm; capped by ``4*sqrt(2)/((1-b)(1-sqrt(b)))``.
+    Evaluated in O(1) by the same kernel as :func:`v_aggregate`.
     """
     b, n = _validate_bn(b, n)
-    if b == 0.0:
-        return 0.0
-    if n <= _DIRECT_N:
-        s = math.sqrt(b)
-        k = np.arange(1, n + 1, dtype=np.float64)
-        with np.errstate(under="ignore"):
-            diag = b**k
-            sp = s**k
-        cross = float(np.dot(sp[1:], np.cumsum(sp)[:-1])) if n >= 2 else 0.0
-        return float(np.sum(diag)) + 4.0 * _SQRT2 * cross
-    with mp.workdps(60):
-        x = mp.mpf(b)
-        s = mp.sqrt(x)
-        diag = x * (1 - x**n) / (1 - x)
-        # sum_{j<k<=n} s^{j+k} = [s*G(s^2, n-1) - s^{n+1}*G(s, n-1)] / (1-s)
-        geo_s = s * (1 - s ** (n - 1)) / (1 - s)
-        geo_s2 = s * s * (1 - (s * s) ** (n - 1)) / (1 - s * s)
-        cross = (s * geo_s2 - s ** (n + 1) * geo_s) / (1 - s)
-        return float(diag + 4 * mp.sqrt(2) * cross)
+    return float(u_sum(n, b))
 
 
-def _v_from_start(b: float, n: int) -> float:
-    """The v aggregate with exponents shifted to start at zero: ``V(b,n)/b``."""
-    if b == 0.0:
-        return 1.0
-    return v_aggregate(b, n) / b
-
-
-def _u_from_start(b: float, n: int) -> float:
-    """The u aggregate with exponents shifted to start at zero: ``U(b,n)/b``."""
-    if b == 0.0:
-        return 1.0
-    return u_aggregate(b, n) / b
+def _from_start(aggregate, b: float, n: int) -> float:
+    """An aggregate with exponents shifted to start at zero: ``aggregate(b, n)/b``."""
+    return aggregate(b, n) / b if b > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -222,15 +179,15 @@ def bound_general_start(
     penalty = damped_power(beta, n0)
 
     if norm_kind == "l2":
-        aggregate = _v_from_start(beta, n)
+        aggregate = _from_start(v_aggregate, beta, n)
         factor = math.sqrt(constants.C_pi) * math.sqrt(constants.C_density)
         norms = weighted_norm(g, chain.pi, 2) ** 2
     elif norm_kind == "l4":
-        aggregate = _u_from_start(beta, n)
+        aggregate = _from_start(u_aggregate, beta, n)
         factor = math.sqrt(constants.C_density)
         norms = weighted_norm(g, chain.pi, 4) ** 2
     else:
-        aggregate = _v_from_start(beta, n)
+        aggregate = _from_start(v_aggregate, beta, n)
         factor = math.sqrt(constants.C_density)
         norms = weighted_norm(g, chain.pi, np.inf) * weighted_norm(g, chain.pi, 2)
 

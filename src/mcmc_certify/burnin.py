@@ -11,9 +11,7 @@ bound ``beta`` and a start-quality constant ``C``::
 i.e. the closed-form theorem bounds with the norm factors scaled out ("binf"
 covers both the l2 and sup-norm routes, which share this shape; "b4" is the
 fourth-moment route).  The correction decays one power of n faster than the
-leading term, matching the closed-form error bounds; a looser variant with
-the correction at the same 1/n scale appears in some presentations and is
-available via ``loose=True``, but planning always uses the default family.
+leading term, matching the closed-form error bounds.
 
 Three strategies are provided: a closed-form *suggested* burn-in
 ``ceil(log C / log(1/beta))`` (which makes ``C beta^n0 <= 1``), the exact
@@ -26,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .bounds import POWER_FLOOR
@@ -107,24 +104,21 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
     Float64 cannot settle which side of an integer the ratio falls on when
     ``beta`` is close to 1 (the quotient amplifies the last-ulp error of
     ``log(beta)`` by ~1/(1-beta)), hence the high-precision evaluation.
+    For ``C <= 1`` the ratio is not positive, so the clamp at 0 settles the
+    outcome and ``borderline`` stays False.
     """
     if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     if not (isinstance(C, (int, float)) and math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a positive finite number, got {C!r}")
-    if C <= 1.0:
-        # The clamp at 0 makes the outcome insensitive to the ratio here.
-        return BurninSuggestion(n0=0, ratio=_ratio_float(beta, C), borderline=False)
+    # Imported here, its only runtime use, to keep mpmath off the import path.
+    import mpmath as mp
+
     with mp.workdps(50):
         ratio = mp.log(mp.mpf(C)) / -mp.log(mp.mpf(beta))
-        n0 = int(mp.ceil(ratio))
-        borderline = bool(abs(ratio - mp.nint(ratio)) < mp.mpf("1e-9"))
-    return BurninSuggestion(n0=max(n0, 0), ratio=float(ratio), borderline=borderline)
-
-
-def _ratio_float(beta: float, C: float) -> float:
-    with mp.workdps(50):
-        return float(mp.log(mp.mpf(C)) / -mp.log(mp.mpf(beta)))
+        n0 = max(int(mp.ceil(ratio)), 0)
+        borderline = C > 1.0 and bool(abs(ratio - mp.nint(ratio)) < mp.mpf("1e-9"))
+    return BurninSuggestion(n0=n0, ratio=float(ratio), borderline=borderline)
 
 
 def suggested_burnin(beta: float, C: float) -> int:
@@ -133,7 +127,7 @@ def suggested_burnin(beta: float, C: float) -> int:
 
 
 def _squared_bounds(
-    n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str, power: int
+    n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
 ) -> np.ndarray:
     """Squared bound values, evaluated in log space to dodge under/overflow."""
     one_minus = 1.0 - beta
@@ -148,7 +142,7 @@ def _squared_bounds(
         damp = np.maximum(n0 * math.log(beta), _LOG_FLOOR)
     else:
         damp = np.where(n0 == 0, 0.0, _LOG_FLOOR)
-    log_corr = math.log(C) + damp + log_k - power * np.log(n)
+    log_corr = math.log(C) + damp + log_k - 2 * np.log(n)
     corr = np.where(
         log_corr > _EXP_OVERFLOW,
         np.inf,
@@ -162,29 +156,19 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {BOUND_KINDS}, got {kind!r}")
 
 
-def bound_function(
-    query: BudgetQuery, n: int, n0: int, kind: str, *, loose: bool = False
-) -> float:
+def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     """Evaluate the worst-case bound (not squared) at an explicit split.
 
-    ``loose=True`` switches the correction to the 1/n-scale variant; the
-    default 1/n^2 family is the one whose integer optimization reproduces the
-    published burn-in choices, and is what all planners here minimize.
+    This 1/n^2-correction family reproduces the published burn-in choices
+    and is what all planners here minimize.
     """
     _check_kind(kind)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"window length n must be a positive integer, got {n!r}")
     if not isinstance(n0, (int, np.integer)) or n0 < 0:
         raise ValueError(f"burn-in n0 must be a nonnegative integer, got {n0!r}")
-    sq = _squared_bounds(
-        np.array([float(n)]),
-        np.array([int(n0)], dtype=np.int64),
-        query.beta,
-        query.C,
-        kind,
-        1 if loose else 2,
-    )
-    return float(np.sqrt(sq[0]))
+    n_arr, n0_arr = np.array([float(n)]), np.array([int(n0)], dtype=np.int64)
+    return float(np.sqrt(_squared_bounds(n_arr, n0_arr, query.beta, query.C, kind)[0]))
 
 
 def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
@@ -199,9 +183,7 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     for start in range(0, query.N, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, query.N)
         n0s = np.arange(start, stop, dtype=np.int64)
-        sq = _squared_bounds(
-            (query.N - n0s).astype(np.float64), n0s, query.beta, query.C, kind, 2
-        )
+        sq = _squared_bounds((query.N - n0s).astype(np.float64), n0s, query.beta, query.C, kind)
         i = int(np.argmin(sq))
         if sq[i] < best_sq:
             best_sq = float(sq[i])

@@ -8,7 +8,8 @@ burnin         plan a budget split by one of the three strategies
 reproduce      write the reference table / figure-curve CSV files
 simulate-check run the seeded statistical soundness suite
 
-Exit codes: 0 success, 2 validation error, 3 resource cap, 4 I/O error.
+Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
+error, 3 resource cap, 4 I/O error.
 Machine output: ``--json`` dumps a schema-stable JSON document; CSV files use
 shortest-round-trip float formatting, so they are bit-stable across platforms.
 The exact-error work cap honors the MCMC_CERTIFY_WORK_CAP environment

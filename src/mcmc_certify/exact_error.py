@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._geometric import window_weight
 from .chain import (
     ReversibleChain,
     as_distribution,
@@ -64,9 +65,6 @@ __all__ = [
 WORK_CAP_ENV = "MCMC_CERTIFY_WORK_CAP"
 DEFAULT_WORK_CAP = 1e9
 
-# Largest n for which the direct O(n) summation of w_factor is used before
-# switching to closed forms.
-_DIRECT_N = 2_000_000
 # Hard cap on path enumeration: d ** (n + n0) many paths.
 _ENUMERATION_CAP = 10**7
 # Memory guard for the prefix-sum table of exact_error (elements, ~1 GiB).
@@ -127,36 +125,18 @@ def w_factor(n: int, b: float) -> float:
     """Spectral window weight ``W(n, b) = n + 2 * sum_{k<n} (n-k) b^k``.
 
     This is the exact factor multiplying a squared spectral coefficient in
-    the stationary MSE, for an eigenvalue ``b``.  Closed form::
-
-        W(n, b) = (n (1 - b^2) - 2 b (1 - b^n)) / (1 - b)^2
-
-    The closed form cancels catastrophically as ``b -> 1``, so evaluation is
-    split: closed form for |b| < 0.9 (cancellation ratio stays below ~20),
-    exact direct summation for b >= 0.9 up to n = 2e6, and for larger n a
-    second-order Taylor expansion near b = 1 when n(1-b) < 1e-4 (relative
-    error O((n(1-b))^2)), falling back to the closed form otherwise.
+    the stationary MSE, for an eigenvalue ``b``.  Its closed form
+    ``(n (1 - b^2) - 2 b (1 - b^n)) / (1 - b)^2`` cancels catastrophically as
+    ``b -> 1``; it is evaluated in O(1), to a few ulp for every n, by the
+    float64 kernel of :mod:`mcmc_certify._geometric`.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (-1.0 <= b < 1.0):
         raise ValueError(f"b must lie in [-1, 1), got {b!r}")
-    n = int(n)
-    b = float(b)
-    if b == 0.0 or n == 1:
-        return float(n)
-    one_minus = 1.0 - b
-    if abs(b) < 0.9:
-        return (n * (1.0 - b * b) - 2.0 * b * (1.0 - b**n)) / (one_minus * one_minus)
-    if n <= _DIRECT_N:
-        k = np.arange(1, n, dtype=np.float64)
-        with np.errstate(under="ignore"):
-            powers = b**k
-        return float(n + 2.0 * np.dot(n - k, powers))
-    if n * one_minus < 1e-4:
-        nn = float(n)
-        return nn * nn - nn * (nn * nn - 1.0) * one_minus / 3.0
-    return (n * (1.0 - b * b) - 2.0 * b * (1.0 - b**n)) / (one_minus * one_minus)
+    if n == 1:
+        return 1.0  # the empty sum, exactly
+    return float(window_weight(int(n), b))
 
 
 def worst_case_mse(n: int, beta1: float) -> float:
@@ -176,15 +156,9 @@ def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     if f.shape[0] != chain.size:
         raise ValueError(f"function has length {f.shape[0]}, chain has {chain.size} states")
     dec = spectral_decompose(chain)
-    coeffs = spectral_coefficients(dec, f, chain.pi)
-    total = 0.0
-    for k in range(1, chain.size):
-        a = coeffs[k]
-        if a == 0.0:
-            continue
-        lam = max(float(dec.eigenvalues[k]), -1.0)
-        total += a * a * w_factor(int(n), lam)
-    return total / (float(n) * float(n))
+    a = spectral_coefficients(dec, f, chain.pi)[1:]
+    weights = window_weight(int(n), np.maximum(dec.eigenvalues[1:], -1.0))
+    return float(np.dot(a * a, weights)) / (float(n) * float(n))
 
 
 def worst_case_stationary(chain: ReversibleChain, n: int) -> float:

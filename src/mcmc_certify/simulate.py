@@ -59,15 +59,14 @@ class EmpiricalErrorReport:
     seed: int
 
 
-def _cdf_rows(P: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(P, axis=1)
-    cdf[:, -1] = 1.0  # guard against cumulated rounding in the last column
-    return cdf
-
-
-def _cdf_vector(nu: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(nu)
-    cdf[-1] = 1.0
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    # CDFs along the last axis.  Rows sum to 1 only within ROW_TOL: saturating
+    # from each row's last positive entry on keeps a deficit off the
+    # zero-probability states.
+    cdf = np.cumsum(weights, axis=-1)
+    d = weights.shape[-1]
+    last = d - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
+    cdf[np.arange(d) >= last[..., None]] = 1.0
     return cdf
 
 
@@ -86,9 +85,9 @@ def sample_trajectory(chain: ReversibleChain, nu, length: int, rng_stream) -> np
             f"start distribution has length {nu.shape[0]}, chain has {chain.size} states"
         )
     u = rng_stream.random(int(length))
-    row_cdf = _cdf_rows(chain.P)
+    row_cdf = _cdf(chain.P)
     states = np.empty(int(length), dtype=np.intp)
-    x = int(np.searchsorted(_cdf_vector(nu), u[0], side="right"))
+    x = int(np.searchsorted(_cdf(nu), u[0], side="right"))
     states[0] = x
     for t in range(1, int(length)):
         x = int(np.searchsorted(row_cdf[x], u[t], side="right"))
@@ -121,8 +120,8 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     uniforms = np.random.Generator(np.random.Philox(key=int(config.seed))).random(
         (R, length)
     )
-    row_cdf = _cdf_rows(chain.P)
-    nu_cdf = _cdf_vector(nu)
+    row_cdf = _cdf(chain.P)
+    nu_cdf = _cdf(nu)
 
     # state of every replication after the first draw
     states = (uniforms[:, 0][:, None] >= nu_cdf).sum(axis=1)

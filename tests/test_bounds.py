@@ -86,8 +86,8 @@ def test_aggregates_match_double_loop(b, n):
 
 def test_aggregates_large_n_limits():
     # For n far beyond the mixing scale both aggregates sit at their series
-    # limits; this exercises the large-n evaluation branch against
-    # independently summed geometric series.
+    # limits; this checks large windows against independently summed
+    # geometric series.
     b = 0.5
     s = math.sqrt(b)
     v_limit = b * (1.0 + b) / (1.0 - b) ** 2

@@ -43,16 +43,6 @@ def test_bound_function_matches_direct_formula(kind):
         assert got == pytest.approx(want, rel=1e-12), (kind, n0)
 
 
-def test_bound_function_loose_scales_correction_by_n():
-    query = mc.BudgetQuery(N=200, beta=0.8, C=100.0)
-    n, n0 = 150, 50
-    lead = 2.0 / (n * (1.0 - query.beta))
-    strict = mc.bound_function(query, n, n0, "binf") ** 2
-    loose = mc.bound_function(query, n, n0, "binf", loose=True) ** 2
-    assert loose - lead == pytest.approx(n * (strict - lead), rel=1e-10)
-    assert loose >= strict
-
-
 def test_bound_function_deep_burnin_does_not_underflow_to_garbage():
     # beta^n0 underflows float64 well before n0 = 10^6; the bound must hit
     # the leading term instead of raising or returning nan.

@@ -96,15 +96,19 @@ def test_w_factor_hand_values():
 @pytest.mark.parametrize(
     "n,b",
     [
-        (10, 0.89999),        # closed form branch
-        (10, 0.90001),        # direct sum branch
+        (10, 0.89999),
+        (10, 0.90001),
         (50, 0.99),
         (1000, 0.9999),
-        (100, 1.0 - 1e-9),    # Taylor branch: n(1-b) = 1e-7
+        (100, 1.0 - 1e-9),    # n(1-b) = 1e-7
         (2_000_000, 0.9999999),
-        (3_000_000, 0.5),     # large-n closed form branch
+        (3_000_000, 0.5),
         (17, -0.95),
         (17, -0.2),
+        # n(1-b) small at windows beyond 2e6, where W ~ n^2 cancels hardest
+        (2_000_001, 1.0 - 1e-9),
+        (3_000_000, 1.0 - 1e-9),
+        (10**8, 1.0 - 1e-9),
     ],
 )
 def test_w_factor_matches_high_precision(n, b):

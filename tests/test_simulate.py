@@ -129,3 +129,34 @@ def test_block_cap_trips(two_state):
     )
     with pytest.raises(BudgetOverflow):
         mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+
+
+class _ConstantUniforms:
+    """Stand-in generator whose every uniform is the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_row_deficit_never_steps_to_zero_probability_state():
+    # Symmetric, so pi is uniform.  Row 0 sums to 1 - 4e-13 (within ROW_TOL)
+    # with P[0, 2] = P[0, 3] = 0, and this nu's CDF tops out one ulp below 1
+    # before its zero last entry.  A uniform above either sum must still land
+    # on a state of positive probability.
+    delta = 4e-13
+    P = [
+        [0.5, 0.5 - delta, 0.0, 0.0],
+        [0.5 - delta, delta, 0.5, 0.0],
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 0.0, 0.5, 0.5],
+    ]
+    chain = mc.build_chain(P, pi=[0.25] * 4)
+    nu = np.array([0.33, 0.56, 0.11, 0.0])
+    for u in (1.0 - 1e-13, np.nextafter(1.0, 0.0)):
+        for start in (nu, np.eye(4)[0]):
+            path = mc.sample_trajectory(chain, start, 6, _ConstantUniforms(u))
+            assert start[path[0]] > 0.0, (u, path)
+            assert all(chain.P[x, y] > 0.0 for x, y in zip(path[:-1], path[1:])), (u, path)
