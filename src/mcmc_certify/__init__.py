@@ -4,179 +4,37 @@ Workflow: build a validated reversible chain, decompose its spectrum, then
 either compute the exact mean-square error of a burn-in time average, certify
 it from above with closed-form bounds, plan the burn-in under a fixed budget,
 or cross-check everything by brute force and simulation.
+
+The public API is the union of the ``__all__`` lists of the submodules
+imported below; ``cli`` is not re-exported.
 """
 
-from .bounds import (
-    NORM_KINDS,
-    POWER_FLOOR,
-    BoundConstants,
-    BoundReport,
-    bound_general_start,
-    bound_theorem,
-    damped_power,
-    u_aggregate,
-    v_aggregate,
-)
-from .burnin import (
-    BOUND_KINDS,
-    BudgetQuery,
-    BurninPlan,
-    BurninSuggestion,
-    FigureRow,
-    bound_function,
-    figure_series,
-    half_budget_plan,
-    optimize_burnin,
-    suggested_burnin,
-    suggested_burnin_detail,
-    suggested_plan,
-)
-from .chain import (
-    REV_TOL,
-    ROW_TOL,
-    SPEC_TOL,
-    STAT_TOL,
-    ReversibleChain,
-    SpectralDecomposition,
-    apply_to_distribution,
-    apply_to_function,
-    as_distribution,
-    as_state_function,
-    as_transition_matrix,
-    build_chain,
-    mean_value,
-    operator_norm_on_mean_zero,
-    spectral_coefficients,
-    spectral_decompose,
-    weighted_inner,
-    weighted_norm,
-)
-from .chainfile import ChainInput, load_chain_file
-from .convergence import (
-    DeviationFunction,
-    chi2_contrast,
-    density_ratio_bound,
-    deviation_function,
-    l_functional,
-    mass_floor_bound,
-    total_variation,
-)
-from .errors import (
-    BudgetOverflow,
-    ChainError,
-    NotErgodic,
-    NotReversible,
-    NotStochastic,
-    SpectralFailure,
-    TooLarge,
-    ZeroMass,
-)
-from .exact_error import (
-    DEFAULT_WORK_CAP,
-    WORK_CAP_ENV,
-    EstimatorSpec,
-    ExactErrorReport,
-    asymptotic_constant,
-    exact_error,
-    exact_error_naive,
-    path_enumeration_oracle,
-    stationary_error,
-    w_factor,
-    worst_case_mse,
-    worst_case_stationary,
-)
-from .simulate import (
-    EmpiricalErrorReport,
-    SimulationConfig,
-    estimate_error,
-    sample_trajectory,
-)
-from .suite import birth_death_matrix, validation_suite
+import sys as _sys
+
+from .errors import *  # noqa: F403
+from .chain import *  # noqa: F403
+from .convergence import *  # noqa: F403
+from .exact_error import *  # noqa: F403  (binds the function ``exact_error``)
+from .bounds import *  # noqa: F403
+from .burnin import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .suite import *  # noqa: F403
+from .chainfile import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ChainError",
-    "NotStochastic",
-    "NotReversible",
-    "NotErgodic",
-    "ZeroMass",
-    "SpectralFailure",
-    "BudgetOverflow",
-    "TooLarge",
-    # chain
-    "ROW_TOL",
-    "REV_TOL",
-    "STAT_TOL",
-    "SPEC_TOL",
-    "ReversibleChain",
-    "SpectralDecomposition",
-    "as_transition_matrix",
-    "as_distribution",
-    "as_state_function",
-    "build_chain",
-    "spectral_decompose",
-    "apply_to_function",
-    "apply_to_distribution",
-    "weighted_norm",
-    "weighted_inner",
-    "mean_value",
-    "spectral_coefficients",
-    "operator_norm_on_mean_zero",
-    # convergence
-    "chi2_contrast",
-    "total_variation",
-    "density_ratio_bound",
-    "mass_floor_bound",
-    "DeviationFunction",
-    "deviation_function",
-    "l_functional",
-    # exact error
-    "WORK_CAP_ENV",
-    "DEFAULT_WORK_CAP",
-    "EstimatorSpec",
-    "ExactErrorReport",
-    "w_factor",
-    "worst_case_mse",
-    "stationary_error",
-    "worst_case_stationary",
-    "asymptotic_constant",
-    "exact_error",
-    "exact_error_naive",
-    "path_enumeration_oracle",
-    # bounds
-    "POWER_FLOOR",
-    "NORM_KINDS",
-    "damped_power",
-    "v_aggregate",
-    "u_aggregate",
-    "BoundConstants",
-    "BoundReport",
-    "bound_general_start",
-    "bound_theorem",
-    # burn-in planning
-    "BOUND_KINDS",
-    "BudgetQuery",
-    "BurninPlan",
-    "BurninSuggestion",
-    "FigureRow",
-    "suggested_burnin",
-    "suggested_burnin_detail",
-    "bound_function",
-    "optimize_burnin",
-    "suggested_plan",
-    "half_budget_plan",
-    "figure_series",
-    # simulation
-    "SimulationConfig",
-    "EmpiricalErrorReport",
-    "sample_trajectory",
-    "estimate_error",
-    # suite & files
-    "validation_suite",
-    "birth_death_matrix",
-    "ChainInput",
-    "load_chain_file",
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        "errors",
+        "chain",
+        "convergence",
+        "exact_error",
+        "bounds",
+        "burnin",
+        "simulate",
+        "suite",
+        "chainfile",
+    )
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -30,8 +30,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from .errors import (
     NotErgodic,
@@ -197,6 +195,17 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _reached_from_zero(edges: np.ndarray) -> np.ndarray:
+    """States reachable from state 0 along ``edges[x, y]`` (x -> y)."""
+    reached = np.zeros(edges.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
+
+
 def build_chain(P, pi=None) -> ReversibleChain:
     """Validate ``P`` (and optionally ``pi``) into a :class:`ReversibleChain`.
 
@@ -222,15 +231,17 @@ def build_chain(P, pi=None) -> ReversibleChain:
         Detailed balance fails; the message reports the worst pair.
     """
     P = as_transition_matrix(P)
-    d = P.shape[0]
 
-    n_comp, _ = scipy.sparse.csgraph.connected_components(
-        P > 0, directed=True, connection="strong"
-    )
-    if n_comp != 1:
-        raise NotErgodic(
-            f"support graph has {n_comp} strongly connected components"
-        )
+    # The support graph is strongly connected iff every state is reachable
+    # from state 0 and state 0 is reachable from every state.
+    support = P > 0
+    forward, backward = _reached_from_zero(support), _reached_from_zero(support.T)
+    if not forward.all():
+        x = int(np.argmin(forward))
+        raise NotErgodic(f"state {x} cannot be reached from state 0")
+    if not backward.all():
+        x = int(np.argmin(backward))
+        raise NotErgodic(f"state 0 cannot be reached from state {x}")
 
     if pi is None:
         stationary = _solve_stationary(P)
@@ -294,8 +305,8 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     A = (root[:, None] * chain.P) / root[None, :]
     A = 0.5 * (A + A.T)  # kill the residual asymmetry before eigh
     try:
-        lam, V = scipy.linalg.eigh(A)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to force
+        lam, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to force
         raise SpectralFailure(f"symmetric eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):
         raise SpectralFailure("eigensolver returned non-finite eigenvalues")

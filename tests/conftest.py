@@ -1,13 +1,16 @@
-"""Shared fixtures, strategies and helpers for the test suite.
+"""Shared fixtures and the Hypothesis profile for the test suite.
 
 Hypothesis runs derandomized so the suite is reproducible; individual
-tests override ``max_examples`` where the default is too slow.
+tests override ``max_examples`` where the default is too slow.  Strategies
+and chain helpers live in ``chain_strategies``, so that test modules import
+them by a name no other suite's ``conftest`` shadows.
 """
 
-import numpy as np
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
 
 import mcmc_certify as mc
 
@@ -19,67 +22,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
-
-
-# ---------------------------------------------------------------------------
-# Chain construction helpers
-# ---------------------------------------------------------------------------
-
-def metropolis_chain(weights) -> mc.ReversibleChain:
-    """Metropolis kernel targeting ``weights / sum(weights)``.
-
-    Uses the complete uniform proposal q(i, j) = 1/d for j != i, so the
-    result is reversible by construction, strongly connected, and has a
-    strictly positive diagonal (hence ergodic) for any positive weights.
-    """
-    w = np.asarray(weights, dtype=float)
-    d = len(w)
-    P = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            if j != i:
-                P[i, j] = min(1.0, w[j] / w[i]) / d
-        P[i, i] = 1.0 - P[i].sum()
-    return mc.build_chain(P, pi=w / w.sum())
-
-
-@st.composite
-def reversible_chains(draw, max_states: int = 6):
-    """Random small reversible ergodic chains (via Metropolis kernels)."""
-    d = draw(st.integers(min_value=2, max_value=max_states))
-    weights = draw(
-        st.lists(
-            st.floats(min_value=0.05, max_value=20.0),
-            min_size=d,
-            max_size=d,
-        )
-    )
-    return metropolis_chain(weights)
-
-
-@st.composite
-def distributions(draw, size: int):
-    raw = draw(
-        st.lists(
-            st.floats(min_value=1e-3, max_value=1.0),
-            min_size=size,
-            max_size=size,
-        )
-    )
-    v = np.asarray(raw)
-    return v / v.sum()
-
-
-@st.composite
-def state_functions(draw, size: int):
-    raw = draw(
-        st.lists(
-            st.floats(min_value=-10.0, max_value=10.0),
-            min_size=size,
-            max_size=size,
-        )
-    )
-    return np.asarray(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +49,10 @@ def bd3():
     return mc.build_chain(mc.birth_death_matrix([0.3, 0.2], [0.25, 0.35]))
 
 
-def standard_starts(chain) -> list[np.ndarray]:
-    """Point mass, uniform, and stationary starts for a given chain."""
-    d = chain.size
-    return [np.eye(d)[0], np.full(d, 1.0 / d), np.array(chain.pi)]
-
-
-def standard_functions(chain) -> list[np.ndarray]:
-    """Indicator, ramp and alternating observables for a given chain."""
-    d = chain.size
-    ramp = np.arange(d, dtype=float) / max(d - 1, 1)
-    alternating = np.array([(-1.0) ** i * (1.0 + 0.5 * i) for i in range(d)])
-    return [np.eye(d)[0], ramp, alternating]
+@pytest.fixture()
+def package_env():
+    """Environment for a child interpreter that imports this same package."""
+    env = dict(os.environ)
+    src = str(Path(mc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mcmc_certify as mc
 
-from conftest import reversible_chains, standard_starts
+from chain_strategies import reversible_chains, standard_starts
 
 SQRT2 = math.sqrt(2.0)
 

@@ -13,7 +13,7 @@ from mcmc_certify.errors import (
     ZeroMass,
 )
 
-from conftest import reversible_chains, state_functions
+from chain_strategies import reversible_chains, state_functions
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +43,42 @@ def test_rejects_nonreversible_cycle():
         mc.build_chain(cycle)
 
 
-def test_rejects_reducible():
-    block = [
-        [0.5, 0.5, 0.0, 0.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 0.0, 0.5, 0.5],
-        [0.0, 0.0, 0.5, 0.5],
-    ]
-    with pytest.raises(NotErgodic):
-        mc.build_chain(block)
+def _path_matrix(d: int, zero_up=None, zero_down=None):
+    """Constant-rate birth--death matrix with one up- or down-rate set to 0."""
+    up, down = np.full(d - 1, 0.3), np.full(d - 1, 0.3)
+    if zero_up is not None:
+        up[zero_up] = 0.0
+    if zero_down is not None:
+        down[zero_down] = 0.0
+    return mc.birth_death_matrix(up, down)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [
+            [0.5, 0.5, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.0, 0.0, 0.5, 0.5],
+        ],
+        # State 0 reaches state 1 but not back: only the backward search fails.
+        [[0.5, 0.5], [0.0, 1.0]],
+        # Long paths cut in the middle, one per search direction.
+        _path_matrix(64, zero_up=31),
+        _path_matrix(64, zero_down=31),
+    ],
+    ids=["two-blocks", "one-way", "path64-no-up", "path64-no-down"],
+)
+def test_rejects_reducible(P):
+    with pytest.raises(NotErgodic, match="cannot be reached"):
+        mc.build_chain(P)
+
+
+def test_accepts_long_path():
+    # Diameter 63: the reachability frontier advances one state per step.
+    chain = mc.build_chain(_path_matrix(64))
+    assert chain.pi == pytest.approx(np.full(64, 1.0 / 64), rel=1e-10)
 
 
 def test_rejects_absorbing_state():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +223,18 @@ GOLDEN_TABLE1 = """N,beta,n_opt_b4,n_opt_binf,n0_suggested
 def test_reproduce_table1(capsys, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["reproduce", "--target", "table1", "--out", str(out)]) == 0
+    assert (out / "table1.csv").read_text() == GOLDEN_TABLE1
+
+
+def test_module_entry_point_runs(tmp_path, package_env):
+    """``python -m mcmc_certify.cli`` dispatches to ``main`` like the script."""
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "mcmc_certify.cli", "reproduce",
+         "--target", "table1", "--out", str(out)],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert run.returncode == 0, run.stderr
     assert (out / "table1.csv").read_text() == GOLDEN_TABLE1
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify.errors import ZeroMass
 
-from conftest import distributions, reversible_chains
+from chain_strategies import distributions, reversible_chains
 
 
 def test_chi2_hand_value():

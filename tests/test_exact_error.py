@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify.errors import BudgetOverflow, TooLarge
 
-from conftest import reversible_chains, state_functions, standard_starts
+from chain_strategies import reversible_chains, state_functions, standard_starts
 
 # (n, n0) -> exact MSE as a rational, for nu = delta_0, f = 1_{state 0}.
 FROZEN_TWO_STATE = {
