@@ -8,6 +8,9 @@ factor ~9); powers enter only through ``expm1(-y)``.  Against 80-digit
 references each sum is within 2e-15 relative for n up to 1e12 and ``1-b`` down
 to 1e-14.  Stable exponential differences as in McCurdy, Ng & Parlett, Math.
 Comp. 43 (1984), and Higham, *Functions of Matrices* (SIAM 2008), ch. 10.
+
+The two-rate sums E and D of the exact MSE's start correction come from
+:func:`pair_sums`, which powers a 3x3 triangular matrix instead.
 """
 
 import math
@@ -81,3 +84,34 @@ def u_sum(n: int, b) -> np.ndarray:
     g_s = np.sqrt(b) * np.expm1(-0.5 * y) / np.expm1(-0.5 * h)
     root8 = math.sqrt(8.0)
     return np.where(b > 0.0, root8 * g_s * g_s - (root8 - 1.0) * g_b, 0.0)
+
+
+def pair_sums(n: int, x, y):
+    """``E = sum_{i<n} x^i y^(n-1-i)`` and ``D = sum_{i<n} x^i sum_{r=1..n-1-i} y^r``.
+
+    Both are entries of ``M^n`` for ``M = [[x, 1, 0], [0, y, y], [0, 0, 1]]``:
+    ``E = (M^n)_12`` and ``D = (M^n)_13``, with ``H_m = (M^m)_23 =
+    sum_{r=1..m} y^r``; the discrete form of Van Loan, IEEE Trans. Autom.
+    Control 23 (1978).  ``M^n`` is taken by binary powering, elementwise over
+    broadcast ``x`` and ``y``, with the product rule ``E_{a+b} = x^a E_b +
+    E_a y^b``, ``H_{a+b} = y^a H_b + H_a``, ``D_{a+b} = x^a D_b + E_a H_b +
+    D_a``.  Powers come from libm ``pow``: repeated squaring would lose about
+    n ulp as ``x -> 1``.  ``E(x, 1)`` is the geometric sum ``sum_{i<n} x^i``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    # (E, H, D) of M^a for the bits of n taken so far, and of M^p, p = 2^j.
+    e_a, h_a, d_a = zero, np.zeros_like(y), zero
+    e_p, h_p, d_p = zero + 1.0, y, zero
+    a, p = 0, 1
+    while True:
+        if n & p:
+            x_a, y_a, y_p = np.power(x, float(a)), np.power(y, float(a)), np.power(y, float(p))
+            e_a, h_a, d_a = x_a * e_p + e_a * y_p, y_a * h_p + h_a, x_a * d_p + e_a * h_p + d_a
+            a += p
+        if 2 * p > n:
+            return e_a, d_a
+        x_p, y_p = np.power(x, float(p)), np.power(y, float(p))
+        e_p, h_p, d_p = x_p * e_p + e_p * y_p, y_p * h_p + h_p, x_p * d_p + e_p * h_p + d_p
+        p *= 2

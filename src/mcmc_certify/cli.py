@@ -9,11 +9,9 @@ reproduce      write the reference table / figure-curve CSV files
 simulate-check run the seeded statistical soundness suite
 
 Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
-error, 3 resource cap, 4 I/O error.
+error, 3 resource cap (the simulation block guard), 4 I/O error.
 Machine output: ``--json`` dumps a schema-stable JSON document; CSV files use
 shortest-round-trip float formatting, so they are bit-stable across platforms.
-The exact-error work cap honors the MCMC_CERTIFY_WORK_CAP environment
-variable (default 1e9 scalar operations).
 """
 
 from __future__ import annotations

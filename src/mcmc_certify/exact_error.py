@@ -18,23 +18,24 @@ with ``g = f - <f,1>_pi`` the centered function.  Note the functional index:
 the j-th averaged state X_{n0+j} sits ``n0+j-1`` transitions after X_1, so
 the correction for j = 1, n0 = 0 uses L_0 (the raw start deviation), not L_1.
 
-The main entry point evaluates this in O((n+n0) d^2) time by iterating the
-start distribution forward once and accumulating prefix sums of P^m g.  A
-deliberately naive O(n^2 d^2) evaluation and a brute-force path enumeration
-oracle are kept alongside it so every optimized number can be cross-checked
-by two independent routes.
+Reversibility expands the start deviation in the eigenbasis,
+``nu P^m / pi - 1 = sum_{k>=1} c_k lam_k^m u_k`` with ``c_k = nu . u_k``, so
+both correction sums collapse to sums over eigenpairs of one- and two-rate
+geometric sums.  The main entry point evaluates them in O(d^3 + d^2 log n)
+time, independent of the window.  A deliberately naive O(n^2 d^2) evaluation
+and a brute-force path enumeration oracle are kept alongside it so every
+optimized number can be cross-checked by two independent routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._geometric import window_weight
+from ._geometric import pair_sums, window_weight
 from .chain import (
     ReversibleChain,
     as_distribution,
@@ -45,11 +46,9 @@ from .chain import (
     weighted_inner,
 )
 from .convergence import deviation_function
-from .errors import BudgetOverflow, TooLarge
+from .errors import TooLarge
 
 __all__ = [
-    "WORK_CAP_ENV",
-    "DEFAULT_WORK_CAP",
     "EstimatorSpec",
     "ExactErrorReport",
     "w_factor",
@@ -62,26 +61,8 @@ __all__ = [
     "path_enumeration_oracle",
 ]
 
-WORK_CAP_ENV = "MCMC_CERTIFY_WORK_CAP"
-DEFAULT_WORK_CAP = 1e9
-
 # Hard cap on path enumeration: d ** (n + n0) many paths.
 _ENUMERATION_CAP = 10**7
-# Memory guard for the prefix-sum table of exact_error (elements, ~1 GiB).
-_PREFIX_ELEMS_CAP = 1 << 27
-
-
-def _work_cap() -> float:
-    raw = os.environ.get(WORK_CAP_ENV)
-    if raw is None:
-        return DEFAULT_WORK_CAP
-    try:
-        cap = float(raw)
-    except ValueError:
-        raise ValueError(f"{WORK_CAP_ENV} must be numeric, got {raw!r}") from None
-    if not cap > 0:
-        raise ValueError(f"{WORK_CAP_ENV} must be positive, got {raw!r}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -183,13 +164,9 @@ def asymptotic_constant(chain: ReversibleChain, f) -> float:
     dec = spectral_decompose(chain)
     if chain.size > 1 and 1.0 - dec.beta1 < 1e-12:
         return math.inf
-    coeffs = spectral_coefficients(dec, f, chain.pi)
-    total = 0.0
-    for k in range(1, chain.size):
-        a = coeffs[k]
-        lam = float(dec.eigenvalues[k])
-        total += a * a * (1.0 + lam) / (1.0 - lam)
-    return total
+    a = spectral_coefficients(dec, f, chain.pi)[1:]
+    lam = dec.eigenvalues[1:]
+    return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam)))
 
 
 def _validate_triplet(chain: ReversibleChain, nu, f):
@@ -205,59 +182,31 @@ def _validate_triplet(chain: ReversibleChain, nu, f):
 def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErrorReport:
     """Exact MSE of the burn-in estimator, with its decomposition.
 
-    Runs in O((n + n0) d^2) time: one forward pass of ``nu`` through the
-    chain interleaved with prefix sums of the iterates ``P^m g``.  The work
-    estimate ``(n + n0) * d^2`` is checked against the cap from the
-    ``MCMC_CERTIFY_WORK_CAP`` environment variable (default 1e9), and the
-    (n-1) x d prefix table is capped at ~1 GiB; either limit raises
-    :class:`BudgetOverflow`.
+    With ``g = f - <f, 1>_pi``, ``w_k = (nu . u_k) lam_k^n0``,
+    ``a_l = <g, u_l>_pi``, ``B_k = <u_k, g^2>_pi`` and ``T = U^T diag(pi g) U``
+    over ``k, l >= 1``:
+
+        correction_diagonal = (1/n^2) sum_k w_k B_k G_n(lam_k),
+        correction_cross    = (2/n^2) sum_{k,l} w_k T_kl a_l D_n(lam_k, lam_l),
+
+    where ``G_n`` and ``D_n`` are the geometric sums of
+    :func:`~mcmc_certify._geometric.pair_sums`.  Costs O(d^3 + d^2 log n).
     """
     nu, f = _validate_triplet(chain, nu, f)
     n, n0 = int(spec.n), int(spec.n0)
-    d = chain.size
-
-    work = float(spec.total) * d * d
-    cap = _work_cap()
-    if work > cap:
-        raise BudgetOverflow(
-            f"exact error needs ~{work:.3e} scalar ops, cap is {cap:.3e} "
-            f"(set {WORK_CAP_ENV} to raise it)"
-        )
-    if n * d > _PREFIX_ELEMS_CAP:
-        raise BudgetOverflow(
-            f"prefix table would hold {n * d} floats, cap is {_PREFIX_ELEMS_CAP}"
-        )
-
-    mean = mean_value(f, chain.pi)
-    g = f - mean
     stationary = stationary_error(chain, f, n)
 
-    # Prefix sums: prefix[i] = sum_{m=1..i+1} P^m g, needed for the cross term.
-    if n > 1:
-        prefix = np.empty((n - 1, d))
-        v = g
-        for m in range(n - 1):
-            v = chain.P @ v
-            prefix[m] = v
-        np.cumsum(prefix, axis=0, out=prefix)
-
-    pi = chain.pi
-    pi_g = pi * g
-    pi_g2 = pi_g * g
-
-    q = nu.copy()
-    for _ in range(n0):
-        q = q @ chain.P
-
-    diagonal = 0.0
-    cross = 0.0
-    for j in range(1, n + 1):
-        dev = q / pi - 1.0
-        diagonal += float(np.dot(dev, pi_g2))
-        if j <= n - 1:
-            cross += float(np.dot(dev * pi_g, prefix[n - j - 1]))
-        if j < n:
-            q = q @ chain.P
+    dec = spectral_decompose(chain)
+    U = dec.eigenfunctions[:, 1:]
+    lam = np.maximum(dec.eigenvalues[1:], -1.0)
+    g = f - mean_value(f, chain.pi)
+    pi_g = chain.pi * g
+    w = (nu @ U) * np.power(lam, float(n0))
+    a, B, T = pi_g @ U, (pi_g * g) @ U, (U.T * pi_g) @ U
+    geometric, _ = pair_sums(n, lam, 1.0)
+    _, double = pair_sums(n, lam[:, None], lam[None, :])
+    diagonal = float(np.dot(w * B, geometric))
+    cross = float(w @ (T * double) @ a)
 
     n2 = float(n) * float(n)
     corr_diag = diagonal / n2

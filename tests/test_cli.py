@@ -200,9 +200,10 @@ def test_exit_code_missing_file(capsys, tmp_path):
     assert cli.main(["analyze", str(tmp_path / "absent.json")]) == 4
 
 
-def test_exit_code_resource_cap(capsys, chain_file, monkeypatch):
-    monkeypatch.setenv(mc.WORK_CAP_ENV, "10")
-    assert cli.main(["error", chain_file, "100", "0", "--exact", "--json"]) == 3
+def test_exit_code_resource_cap(capsys, chain_file):
+    # 2e6 replications of 100 steps exceed the simulation block cap, which
+    # refuses before allocating anything.
+    assert cli.main(["error", chain_file, "100", "0", "--simulate", "2000000", "1", "--json"]) == 3
     assert "BudgetOverflow" in capsys.readouterr().err
 
 

@@ -9,7 +9,6 @@ test.
 """
 
 import math
-import os
 
 import mpmath
 import numpy as np
@@ -18,9 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
-from mcmc_certify.errors import BudgetOverflow, TooLarge
+from mcmc_certify.errors import TooLarge
 
-from chain_strategies import reversible_chains, state_functions, standard_starts
+from chain_strategies import (
+    forward_exact_mse,
+    reversible_chains,
+    standard_starts,
+    state_functions,
+)
 
 # (n, n0) -> exact MSE as a rational, for nu = delta_0, f = 1_{state 0}.
 FROZEN_TWO_STATE = {
@@ -228,6 +232,63 @@ def test_exact_matches_oracle_mixed_starts(bd3):
             )
 
 
+def birth_death_chain(d: int, ratio: float, solve_pi: bool = False) -> mc.ReversibleChain:
+    """Birth--death chain with varying rates and up/down ratio ``ratio``.
+
+    ``pi`` comes from detailed balance, accurate in every entry, unless
+    ``solve_pi`` leaves it to ``build_chain``'s least-squares solve.
+    """
+    up = 0.3 + 0.1 * np.sin(np.arange(d - 1.0))
+    P = mc.birth_death_matrix(up, up / ratio)
+    if solve_pi:
+        return mc.build_chain(P)
+    w = np.concatenate([[1.0], np.cumprod(ratio * np.ones(d - 1))])
+    return mc.build_chain(P, pi=w / w.sum())
+
+
+def forward_cases(suite):
+    """Every point-mass start on the suite chains, and the lowest-pi start
+    on two graded birth--death chains."""
+    cases = [(name, chain, np.eye(chain.size)) for name, chain in suite.items()]
+    for d in (8, 32):
+        chain = birth_death_chain(d, 1.5)
+        cases.append((f"birth_death_{d}", chain, np.eye(d)[[int(np.argmin(chain.pi))]]))
+    return cases
+
+
+@pytest.mark.parametrize("n,n0", [(1, 0), (50, 20), (3000, 500), (100_000, 0)])
+def test_exact_error_matches_forward_oracle(suite, n, n0):
+    # Point masses on low-pi states make the start coefficients c_k large,
+    # so the eigenpair sums must cancel to stay exact.
+    for name, chain, starts in forward_cases(suite):
+        f = np.sqrt(np.arange(chain.size, dtype=float))
+        expected = forward_exact_mse(chain, starts, f, n, n0)
+        for start, ref in zip(starts, expected):
+            got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=n, n0=n0)).mse
+            assert abs(got - ref) <= max(1e-10 * abs(ref), 1e-15), (name, start, got, ref)
+
+
+@pytest.mark.xfail(strict=True, reason="known: the lstsq pi solve loses digits "
+                   "on low-pi states, and the eigenbasis inherits them")
+def test_exact_error_with_the_solved_pi_on_a_graded_chain():
+    # pi_min ~ 2e-10: the solved pi is 5e-7 off there in relative terms, and
+    # exact_error 2e-7 off the forward oracle, which divides pi back out.
+    # Given pi from detailed balance, the same chain agrees to 8e-14.
+    chain = birth_death_chain(32, 2.0, solve_pi=True)
+    start = np.eye(32)[int(np.argmin(chain.pi))]
+    f = np.sqrt(np.arange(32.0))
+    ref = forward_exact_mse(chain, start, f, 50, 20)
+    got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=50, n0=20)).mse
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_exact_error_long_window(two_state):
+    # n * mse tends to 22/81 (see test_asymptotic_constant_two_state); the
+    # start's deviation adds O(1/n), far below the tolerance at n = 1e9.
+    rep = mc.exact_error(two_state, [1.0, 0.0], [1.0, 0.0], mc.EstimatorSpec(n=10**9, n0=3))
+    assert abs(1e9 * rep.mse - 22.0 / 81.0) <= 1e-8 * 22.0 / 81.0
+
+
 # ---------------------------------------------------------------------------
 # Guard rails
 # ---------------------------------------------------------------------------
@@ -247,14 +308,6 @@ def test_naive_route_refuses_long_windows(two_state):
         mc.exact_error_naive(
             two_state, two_state.pi, [1.0, 0.0], mc.EstimatorSpec(n=51, n0=0)
         )
-
-
-def test_work_cap_trips(monkeypatch, bd3):
-    monkeypatch.setenv(mc.WORK_CAP_ENV, "1000")
-    with pytest.raises(BudgetOverflow):
-        mc.exact_error(bd3, bd3.pi, [1.0, 0.0, 0.0], mc.EstimatorSpec(n=500, n0=0))
-    monkeypatch.delenv(mc.WORK_CAP_ENV)
-    mc.exact_error(bd3, bd3.pi, [1.0, 0.0, 0.0], mc.EstimatorSpec(n=500, n0=0))
 
 
 def test_oracle_refuses_huge_state_spaces(bd3):

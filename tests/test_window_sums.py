@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 
 import mcmc_certify as mc
+from mcmc_certify._geometric import pair_sums
 
 WINDOWS = sorted({int(round(x)) for x in np.logspace(0, 9, 19)})
 GAPS = np.logspace(-12, 0, 25)
@@ -57,3 +58,41 @@ def test_window_sums_match_80_digits_on_log_grid():
                 worst[name] = max(worst.get(name, (0.0,)), (relative_error(got, ref), n, b))
     assert mc.v_aggregate(0.0, 7) == 0.0 and mc.u_aggregate(0.0, 7) == 0.0
     assert all(err <= 1e-13 for err, _, _ in worst.values()), worst
+
+
+# The two-rate sums E and D of the exact MSE's start correction, from
+# pair_sums, against 60-digit closed forms.  Each error is taken relative
+# to the same sum on |x| and |y|, which bounds every partial sum, or to the
+# smallest normal double where that sum underflows.
+PAIR_RATES = [-1.0 + 1e-8, -0.5, 0.0, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-8]
+PAIR_WINDOWS = [1, 2, 7, 10**3, 10**6, 10**9]
+
+
+def pair_reference(n, x, y):
+    """E = sum_{i<n} x^i y^(n-1-i) and D = sum_{i<n} x^i sum_{r=1..n-1-i} y^r."""
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    e = n * x ** (n - 1) if x == y else (x**n - y**n) / (x - y)
+    geometric = n if x == 1 else (1 - x**n) / (1 - x)
+    if y == 1:  # sum_{i<n} (n-1-i) x^i
+        d = n * (n - 1) / 2 if x == 1 else (n - 1 - n * x + x**n) / (1 - x) ** 2
+    else:
+        d = y * (geometric - e) / (1 - y)
+    return e, d
+
+
+def test_pair_sums_match_60_digits():
+    x = np.array(PAIR_RATES)[:, None]
+    y = np.array(PAIR_RATES + [1.0])[None, :]
+    worst = (0.0,)
+    floor = mpmath.mpf(np.finfo(float).tiny)
+    with mpmath.workdps(60):
+        for n in PAIR_WINDOWS:
+            e, d = pair_sums(n, x, y)
+            for i, xi in enumerate(x[:, 0]):
+                for j, yj in enumerate(y[0]):
+                    ref = pair_reference(n, xi, yj)
+                    scale = pair_reference(n, abs(xi), abs(yj))
+                    for name, got, r, s in zip("ED", (e[i, j], d[i, j]), ref, scale):
+                        err = float(abs(mpmath.mpf(got) - r) / max(s, floor))
+                        worst = max(worst, (err, name, n, xi, yj))
+    assert worst[0] <= 2e-15, worst
