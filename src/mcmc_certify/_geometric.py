@@ -94,24 +94,24 @@ def pair_sums(n: int, x, y):
     sum_{r=1..m} y^r``; the discrete form of Van Loan, IEEE Trans. Autom.
     Control 23 (1978).  ``M^n`` is taken by binary powering, elementwise over
     broadcast ``x`` and ``y``, with the product rule ``E_{a+b} = x^a E_b +
-    E_a y^b``, ``H_{a+b} = y^a H_b + H_a``, ``D_{a+b} = x^a D_b + E_a H_b +
-    D_a``.  Powers come from libm ``pow``: repeated squaring would lose about
-    n ulp as ``x -> 1``.  ``E(x, 1)`` is the geometric sum ``sum_{i<n} x^i``.
+    E_a y^b`` and ``D_{a+b} = x^a D_b + E_a H_b + D_a``.  Powers come from
+    libm ``pow``: repeated squaring would lose about n ulp as ``x -> 1``.
+    ``E(x, 1)`` is the geometric sum ``sum_{i<n} x^i``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    # (E, H, D) of M^a for the bits of n taken so far, and of M^p, p = 2^j.
-    e_a, h_a, d_a = zero, np.zeros_like(y), zero
+    # (E, D) of M^a for the bits of n taken so far; (E, H, D) of M^p, p = 2^j.
+    e_a, d_a = zero, zero
     e_p, h_p, d_p = zero + 1.0, y, zero
     a, p = 0, 1
     while True:
+        x_p, y_p = np.power(x, float(p)), np.power(y, float(p))
         if n & p:
-            x_a, y_a, y_p = np.power(x, float(a)), np.power(y, float(a)), np.power(y, float(p))
-            e_a, h_a, d_a = x_a * e_p + e_a * y_p, y_a * h_p + h_a, x_a * d_p + e_a * h_p + d_a
+            x_a = np.power(x, float(a))
+            e_a, d_a = x_a * e_p + e_a * y_p, x_a * d_p + e_a * h_p + d_a
             a += p
         if 2 * p > n:
             return e_a, d_a
-        x_p, y_p = np.power(x, float(p)), np.power(y, float(p))
         e_p, h_p, d_p = x_p * e_p + e_p * y_p, y_p * h_p + h_p, x_p * d_p + e_p * h_p + d_p
         p *= 2

@@ -166,7 +166,8 @@ class SpectralDecomposition:
         Sorted in descending order; ``eigenvalues[0] == 1`` up to ``SPEC_TOL``.
     eigenfunctions : np.ndarray
         Column ``k`` is the right eigenfunction ``u_k``, pi-orthonormal;
-        column 0 is the constant-one function (sign-normalized positive).
+        column 0 is exactly the constant-one function, and the others are
+        projected onto ``<u, 1>_pi = 0``.
     beta1 : float
         Second-largest eigenvalue (may be negative).
     beta : float
@@ -195,15 +196,47 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return nu
 
 
-def _reached_from_zero(edges: np.ndarray) -> np.ndarray:
-    """States reachable from state 0 along ``edges[x, y]`` (x -> y)."""
-    reached = np.zeros(edges.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = edges[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    return reached
+def _search_tree(weights: np.ndarray) -> np.ndarray:
+    """Breadth-first tree from state 0 along ``weights[x, y] > 0`` (x -> y).
+
+    A state's parent is its heaviest edge from the level before; state 0 is
+    its own parent and unreached states get -1.
+    """
+    parent = np.full(weights.shape[0], -1)
+    parent[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        edges = weights[frontier]
+        new = np.flatnonzero((edges.max(axis=0) > 0) & (parent < 0))
+        parent[new] = frontier[edges[:, new].argmax(axis=0)]
+        frontier = new
+    return parent
+
+
+def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
+    """``chain`` with pi re-derived by detailed balance along a search tree.
+
+    Each state takes ``pi_y = pi_x P_xy / P_yx`` from its parent on the
+    two-way edges, so every entry is accurate to about depth-many ulp of its
+    own size; a least-squares solve is accurate to eps absolute.  The chain
+    comes back as it is, cached decomposition included, if its pi is already
+    within 1e-12 relative or the two-way edges do not connect all states.
+    """
+    P = chain.P
+    parent = _search_tree(np.minimum(P, P.T))
+    if np.any(parent < 0):
+        return chain
+    child = np.arange(1, chain.size)
+    ratio = np.concatenate([[1.0], P[parent[child], child] / P[child, parent[child]]])
+    up = parent  # pointer jumping: ratio[y] = pi_y / pi_up[y] until up[y] = 0
+    while np.any(up):
+        ratio, up = ratio * ratio[up], up[up]
+    pi = ratio / ratio.max()
+    pi /= pi.sum()
+    if np.max(np.abs(pi / chain.pi - 1.0)) <= 1e-12:
+        return chain
+    flux = pi[:, None] * P
+    return ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T).max()))
 
 
 def build_chain(P, pi=None) -> ReversibleChain:
@@ -235,7 +268,7 @@ def build_chain(P, pi=None) -> ReversibleChain:
     # The support graph is strongly connected iff every state is reachable
     # from state 0 and state 0 is reachable from every state.
     support = P > 0
-    forward, backward = _reached_from_zero(support), _reached_from_zero(support.T)
+    forward, backward = _search_tree(support) >= 0, _search_tree(support.T) >= 0
     if not forward.all():
         x = int(np.argmin(forward))
         raise NotErgodic(f"state {x} cannot be reached from state 0")
@@ -319,8 +352,11 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
         raise SpectralFailure(
             f"leading eigenvalue is {float(lam[0])!r}, expected 1 within {SPEC_TOL}"
         )
-    if np.dot(chain.pi, U[:, 0]) < 0:
-        U[:, 0] = -U[:, 0]
+    # u_0 is the constant.  eigh leaves about eps / (1 - lam_1) of it in the
+    # other columns, where it would leak into the coefficients of any
+    # function or start with nonzero mean.
+    U[:, 0] = 1.0
+    U[:, 1:] -= chain.pi @ U[:, 1:]
 
     d = chain.size
     beta1 = float(lam[1]) if d > 1 else 0.0

@@ -38,6 +38,7 @@ import numpy as np
 from ._geometric import pair_sums, window_weight
 from .chain import (
     ReversibleChain,
+    _with_balanced_pi,
     as_distribution,
     as_state_function,
     mean_value,
@@ -46,7 +47,7 @@ from .chain import (
     weighted_inner,
 )
 from .convergence import deviation_function
-from .errors import TooLarge
+from .errors import BudgetOverflow, TooLarge
 
 __all__ = [
     "EstimatorSpec",
@@ -63,6 +64,13 @@ __all__ = [
 
 # Hard cap on path enumeration: d ** (n + n0) many paths.
 _ENUMERATION_CAP = 10**7
+# Eigenvalue rows per block of the start correction: O(_ROWS d) temporaries.
+_ROWS = 256
+# Eigenvectors are accurate to about eps in absolute terms, and q . u_k weighs
+# them with q_x / sqrt(pi_x).  A start whose sum_x q_x / sqrt(pi_x) exceeds
+# _SPREAD times that of pi first takes exact steps q -> q P, at most _STEPS;
+# one still above _TRAPPED times it raises BudgetOverflow.
+_SPREAD, _TRAPPED, _STEPS = 100.0, 1e5, 4096
 
 
 @dataclass(frozen=True)
@@ -189,24 +197,60 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
         correction_diagonal = (1/n^2) sum_k w_k B_k G_n(lam_k),
         correction_cross    = (2/n^2) sum_{k,l} w_k T_kl a_l D_n(lam_k, lam_l),
 
-    where ``G_n`` and ``D_n`` are the geometric sums of
+    where ``G_n(x) = E_n(x, 1)`` and ``D_n`` are the geometric sums of
     :func:`~mcmc_certify._geometric.pair_sums`.  Costs O(d^3 + d^2 log n).
+
+    ``nu . u_k`` loses ``eps / sqrt(pi_x)`` on the start's states, so every
+    term uses pi re-derived from P by detailed balance, and a start on states
+    of small pi first takes s <= 4096 exact steps ``q -> q P`` (O(s d^2))
+    until it has spread; the window states passed on the way are summed
+    directly, and the measures ``(q - pi) g`` they leave are carried on into
+    the eigenpair sums.
+
+    Raises :class:`BudgetOverflow` if the start is still concentrated on
+    states of small pi after 4096 steps and the window goes on beyond them.
     """
     nu, f = _validate_triplet(chain, nu, f)
     n, n0 = int(spec.n), int(spec.n0)
+    chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
+    pi = chain.pi
+    g = f - mean_value(f, pi)
+    pi_g = pi * g
+
+    q, carried, t = nu, np.zeros_like(pi), 0
+    diagonal = cross = 0.0
+    spread = 1.0 / np.sqrt(pi)
+    base = np.dot(pi, spread)
+    while t < min(n0 + n, _STEPS) and np.dot(q, spread) > _SPREAD * base:
+        if t >= n0:
+            cross += float(np.dot(carried, g))
+            diagonal += float(np.dot(q - pi, g * g))
+            carried = carried + (q - pi) * g
+        q, carried = np.stack((q, carried)) @ chain.P
+        t += 1
+    rest = n0 + n - max(n0, t)  # window states left to the eigenpair sums
+    if rest > 0 and np.dot(q, spread) > _TRAPPED * base:
+        raise BudgetOverflow(
+            f"after {t} exact steps the start is still on states of small pi "
+            f"(sum q/sqrt(pi) is {np.dot(q, spread) / base:.3e} times that of pi)"
+        )
 
     dec = spectral_decompose(chain)
     U = dec.eigenfunctions[:, 1:]
     lam = np.maximum(dec.eigenvalues[1:], -1.0)
-    g = f - mean_value(f, chain.pi)
-    pi_g = chain.pi * g
-    w = (nu @ U) * np.power(lam, float(n0))
-    a, B, T = pi_g @ U, (pi_g * g) @ U, (U.T * pi_g) @ U
-    geometric, _ = pair_sums(n, lam, 1.0)
-    _, double = pair_sums(n, lam[:, None], lam[None, :])
-    diagonal = float(np.dot(w * B, geometric))
-    cross = float(w @ (T * double) @ a)
+    w = (q @ U) * np.power(lam, float(max(n0 - t, 0)))
+    a, B = pi_g @ U, (pi_g * g) @ U
+    rates = np.append(lam, 1.0)[None, :]
+    geometric = np.empty_like(lam)
+    for k in range(0, lam.size, _ROWS):
+        rows = slice(k, k + _ROWS)
+        e, double = pair_sums(rest, lam[rows, None], rates)
+        T = (U[:, rows].T * pi_g) @ U
+        geometric[rows] = e[:, -1]
+        cross += float(w[rows] @ (T * double[:, :-1]) @ a)
+    diagonal += float(np.dot(w * B, geometric))
+    cross += float(np.dot((carried @ U) * a, geometric))
 
     n2 = float(n) * float(n)
     corr_diag = diagonal / n2

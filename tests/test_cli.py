@@ -207,6 +207,17 @@ def test_exit_code_resource_cap(capsys, chain_file):
     assert "BudgetOverflow" in capsys.readouterr().err
 
 
+def test_exit_code_trapped_start(capsys, tmp_path):
+    # The start holds pi = 1e-30 and keeps the chain for 1e6 steps on
+    # average; a window past the 4096 exact steps is refused.
+    P = [[1.0 - 1e-6, 1e-6, 0.0], [2e-36, 0.5 - 2e-36, 0.5], [0.0, 0.5, 0.5]]
+    doc = {"P": P, "pi": [1e-30, 0.5, 0.5], "nu": [1.0, 0.0, 0.0], "f": [0.0, 1.0, 2.0]}
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["error", str(path), "5000", "0", "--exact", "--json"]) == 3
+    assert "BudgetOverflow" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
-from mcmc_certify.errors import TooLarge
+from mcmc_certify.chain import _with_balanced_pi
+from mcmc_certify.errors import BudgetOverflow, TooLarge
 
 from chain_strategies import (
     forward_exact_mse,
@@ -268,18 +269,136 @@ def test_exact_error_matches_forward_oracle(suite, n, n0):
             assert abs(got - ref) <= max(1e-10 * abs(ref), 1e-15), (name, start, got, ref)
 
 
-@pytest.mark.xfail(strict=True, reason="known: the lstsq pi solve loses digits "
-                   "on low-pi states, and the eigenbasis inherits them")
-def test_exact_error_with_the_solved_pi_on_a_graded_chain():
-    # pi_min ~ 2e-10: the solved pi is 5e-7 off there in relative terms, and
-    # exact_error 2e-7 off the forward oracle, which divides pi back out.
-    # Given pi from detailed balance, the same chain agrees to 8e-14.
-    chain = birth_death_chain(32, 2.0, solve_pi=True)
-    start = np.eye(32)[int(np.argmin(chain.pi))]
+@pytest.mark.parametrize("ratio", [2.0, 3.0])
+def test_exact_error_with_the_solved_pi_on_a_graded_chain(ratio):
+    # pi_min ~ 2e-10 (ratio 2) and 1e-15 (ratio 3): the least-squares pi is
+    # 6e-6 and 0.1 off there in relative terms, which an eigenbasis built on
+    # it carries into the start correction (2.8e-6 and 9% off).  exact_error
+    # re-derives pi by detailed balance; the oracle runs on the same P with
+    # pi from detailed balance supplied.
+    chain = birth_death_chain(32, ratio, solve_pi=True)
+    accurate = birth_death_chain(32, ratio)
+    start = np.eye(32)[int(np.argmin(accurate.pi))]
     f = np.sqrt(np.arange(32.0))
-    ref = forward_exact_mse(chain, start, f, 50, 20)
-    got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=50, n0=20)).mse
-    assert abs(got - ref) <= 1e-10 * abs(ref)
+    for n, n0 in [(1, 0), (50, 20), (3000, 500)]:
+        ref = forward_exact_mse(accurate, start, f, n, n0)
+        got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=n, n0=n0)).mse
+        assert abs(got - ref) <= 1e-10 * abs(ref), (n, n0, got, ref)
+
+
+def test_exact_error_across_row_blocks():
+    # 299 eigenvalue rows: the start correction takes a full block of rows
+    # and a partial one.  With no burn-in every row contributes.
+    chain = birth_death_chain(300, 1.02)
+    starts = np.eye(300)[[0, 299]]
+    f = np.sqrt(np.arange(300.0))
+    expected = forward_exact_mse(chain, starts, f, 200, 0)
+    for start, ref in zip(starts, expected):
+        got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=200, n0=0)).mse
+        assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
+def metropolis_chain(pi, moves) -> mc.ReversibleChain:
+    """Metropolis kernel for ``pi`` with proposal weights ``moves[x, y]``."""
+    P = moves * np.minimum(1.0, pi[None, :] / pi[:, None])
+    np.fill_diagonal(P, 0.0)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return mc.build_chain(P, pi=pi)
+
+
+def assert_matches_forward(chain, start, f, windows):
+    for n, n0 in windows:
+        ref = forward_exact_mse(chain, start, f, n, n0)
+        got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=n, n0=n0)).mse
+        assert abs(got - ref) <= 1e-10 * abs(ref), (n, n0, got, ref)
+
+
+# Windows that end before the start has spread, spread it inside the window,
+# inside the burn-in, or hand a long remainder to the eigenpair sums.
+SPREAD_WINDOWS = [(1, 0), (3, 0), (3, 2), (50, 1), (50, 40), (3000, 0), (3000, 3000)]
+
+
+def test_exact_error_from_a_start_of_tiny_pi():
+    # Ratio 30: pi at the start is 4e-11 of its largest entry.  Without the
+    # exact steps the eigenpair sums lose up to 1e-13 here, and far more on
+    # the Metropolis chain below.
+    chain = birth_death_chain(8, 30.0)
+    start, f = np.eye(8)[0], np.sqrt(np.arange(8.0))
+    assert_matches_forward(chain, start, f, SPREAD_WINDOWS)
+    for n, n0 in [(2, 0), (3, 2)]:
+        got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=n, n0=n0)).mse
+        ref = mc.path_enumeration_oracle(chain, start, f, mc.EstimatorSpec(n=n, n0=n0))
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_exact_error_on_a_steep_metropolis_ring():
+    # pi_min 3e-16 and beta = 1 - 1e-6: the eigenpair sums alone are 1e-8
+    # off from the lowest-pi start.
+    x = np.arange(16)
+    pi = np.exp(-12.0 * (x % 3) ** 1.5)
+    ring = (np.abs((x[:, None] - x[None, :] + 8) % 16 - 8) <= 2) / 5.0
+    chain = metropolis_chain(pi / pi.sum(), ring)
+    start = np.eye(16)[int(np.argmin(chain.pi))]
+    assert_matches_forward(chain, start, np.cos(x), SPREAD_WINDOWS)
+
+
+def two_clusters() -> mc.ReversibleChain:
+    """Two clusters of four states joined by one edge of weight 1e-7
+    (1 - beta = 6e-8)."""
+    pi = np.exp(-0.7 * np.arange(8.0))
+    same = np.equal.outer(np.arange(8) < 4, np.arange(8) < 4) * 0.2
+    same[3, 4] = same[4, 3] = 1e-7
+    return metropolis_chain(pi / pi.sum(), same)
+
+
+def test_exact_error_across_a_bottleneck():
+    # An eigenfunction that keeps a trace of the constant, eps / (1 - beta),
+    # would put the result 1.5e-8 off.
+    f = np.arange(8.0) / 7.0
+    assert_matches_forward(two_clusters(), np.eye(8)[0], f, [(50, 0), (3000, 0), (3000, 3000)])
+
+
+def test_stationary_error_across_a_bottleneck():
+    # With n = 1 the stationary MSE is the variance; the same trace of the
+    # constant, times a large mean, would put it 3e-7 off.
+    chain = two_clusters()
+    f = 1e3 + np.arange(8.0)
+    variance = np.dot(chain.pi, (f - np.dot(chain.pi, f)) ** 2)
+    assert mc.stationary_error(chain, f, 1) == pytest.approx(variance, rel=1e-12)
+
+
+def test_exact_error_refuses_a_trapped_start():
+    # State 0 holds pi = 1e-30 and keeps the chain for 1e6 steps on average:
+    # windows inside the first 4096 steps are summed exactly; longer ones
+    # would leave the eigenpair sums a start they cannot resolve.
+    pi = np.array([1e-30, 0.5, 0.5])
+    P = np.array([[1.0 - 1e-6, 1e-6, 0.0], [2e-36, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    P[1, 1] = 1.0 - P[1, 0] - P[1, 2]
+    chain = mc.build_chain(P, pi=pi / pi.sum())
+    start, f = np.eye(3)[0], np.arange(3.0)
+    assert_matches_forward(chain, start, f, [(100, 0), (4000, 96)])
+    with pytest.raises(BudgetOverflow):
+        mc.exact_error(chain, start, f, mc.EstimatorSpec(n=4000, n0=97))
+
+
+def test_balanced_pi_is_accurate_in_every_entry():
+    # Ratio 3 over 31 steps spans 15 decades; every entry of the balanced pi
+    # matches the closed form relative to its size, however small it is.
+    chain = birth_death_chain(32, 3.0, solve_pi=True)
+    w = np.cumprod(np.concatenate([[1.0], np.full(31, 3.0)]))
+    exact = w / w.sum()
+    balanced = _with_balanced_pi(chain)
+    assert np.max(np.abs(balanced.pi / exact - 1.0)) <= 1e-13
+    assert balanced.reversibility_residual <= 1e-16
+    assert np.max(np.abs(chain.pi / exact - 1.0)) > 1e-3  # the lstsq solve's
+
+
+def test_balanced_pi_needs_two_way_edges():
+    # A one-way cycle has no two-way edge to balance along: the chain is
+    # left as it is.
+    P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    chain = mc.ReversibleChain(P=P, pi=np.full(3, 1.0 / 3.0), reversibility_residual=0.0)
+    assert _with_balanced_pi(chain) is chain
 
 
 def test_exact_error_long_window(two_state):
