@@ -17,6 +17,9 @@ Three strategies are provided: a closed-form *suggested* burn-in
 ``ceil(log C / log(1/beta))`` (which makes ``C beta^n0 <= 1``), the exact
 integer *optimized* argmin over all feasible splits, and the estimate-free
 *half budget* rule ``n0 = N//2`` whose asymptotic price is a factor sqrt(2).
+Both squared bounds are convex in ``n0`` for fixed ``N``, so the optimized
+split is found by a ternary search in O(log N) bound evaluations, finished
+by an exact pass over a window of at most 257 splits.
 """
 
 from __future__ import annotations
@@ -48,20 +51,31 @@ BOUND_KINDS = ("b4", "binf")
 
 _LOG_FLOOR = math.log(POWER_FLOOR)
 _EXP_OVERFLOW = 709.0
-_SCAN_CHUNK = 4_000_000
+# float64 holds every integer up to 2**53 exactly; beyond it the window
+# lengths float(N - n0) of neighbouring splits can coincide.
+_MAX_BUDGET = 2**53
+# optimize_burnin: the ternary search stops at a bracket of _BRACKET splits,
+# and the exact window adds _MARGIN splits on each side of it.
+_BRACKET = 128
+_MARGIN = 64
 
 
 @dataclass(frozen=True)
 class BudgetQuery:
-    """A planning instance: total budget ``N``, spectral bound, start constant."""
+    """A planning instance: total budget ``N``, spectral bound, start constant.
+
+    ``N`` is at most 2**53, the range in which float64 holds every integer.
+    """
 
     N: int
     beta: float
     C: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise ValueError(f"budget N must be an integer >= 2, got {self.N!r}")
+        if not isinstance(self.N, (int, np.integer)) or not 2 <= self.N <= _MAX_BUDGET:
+            raise ValueError(
+                f"budget N must be an integer in [2, 2**53], got {self.N!r}"
+            )
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
         if not (isinstance(self.C, (int, float)) and math.isfinite(self.C) and self.C > 0):
@@ -126,10 +140,10 @@ def suggested_burnin(beta: float, C: float) -> int:
     return suggested_burnin_detail(beta, C).n0
 
 
-def _squared_bounds(
+def _bound_terms(
     n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
-) -> np.ndarray:
-    """Squared bound values, evaluated in log space to dodge under/overflow."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The leading term and the log of the correction term, before any clamp."""
     one_minus = 1.0 - beta
     lead = 2.0 / (n * one_minus)
     if kind == "binf":
@@ -142,7 +156,14 @@ def _squared_bounds(
         damp = np.maximum(n0 * math.log(beta), _LOG_FLOOR)
     else:
         damp = np.where(n0 == 0, 0.0, _LOG_FLOOR)
-    log_corr = math.log(C) + damp + log_k - 2 * np.log(n)
+    return lead, math.log(C) + damp + log_k - 2 * np.log(n)
+
+
+def _squared_bounds(
+    n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
+) -> np.ndarray:
+    """Squared bound values, evaluated in log space to dodge under/overflow."""
+    lead, log_corr = _bound_terms(n, n0, beta, C, kind)
     corr = np.where(
         log_corr > _EXP_OVERFLOW,
         np.inf,
@@ -174,24 +195,41 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
 def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     """Exact integer argmin of the bound over all splits ``n0 in [0, N-1]``.
 
-    Scans every candidate in vectorized chunks; ties resolve to the smallest
-    burn-in.  O(N) work, a few-million-wide chunk at a time.
+    The squared bound is convex in ``n0``: ``1/(N-n0)`` is convex and
+    ``max(beta^n0, floor)/(N-n0)^2`` is log-convex.  A ternary search
+    (Kiefer, Proc. AMS 4, 1953) narrows ``[0, N-1]`` to a bracket of at most
+    ``_BRACKET`` splits.  It compares the finite surrogate
+    ``logaddexp(log lead, log corr)``; the squared values would not do, as
+    they saturate to ``inf`` at one or both ends, where no comparison can
+    tell the sides apart.  The squared bounds are then evaluated on the
+    bracket widened by ``_MARGIN`` splits on each side.  Rounding lets
+    splits near the minimum tie with it, over a band that widens like
+    ``sqrt(n / |log beta|)`` (about 20 splits at N = 2e8); the window holds
+    that band, so the result is the full scan's, bit for bit.  Ties resolve
+    to the smallest burn-in, and an all-``inf`` window gives ``n0 = 0``.
+    O(log N) work.
     """
     _check_kind(kind)
-    best_sq = math.inf
-    best_n0 = 0
-    for start in range(0, query.N, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, query.N)
-        n0s = np.arange(start, stop, dtype=np.int64)
-        sq = _squared_bounds((query.N - n0s).astype(np.float64), n0s, query.beta, query.C, kind)
-        i = int(np.argmin(sq))
-        if sq[i] < best_sq:
-            best_sq = float(sq[i])
-            best_n0 = start + i
+    N, beta, C = query.N, query.beta, query.C
+    lo, hi = 0, N - 1
+    while hi - lo > _BRACKET:
+        third = (hi - lo) // 3
+        probe = np.array([lo + third, hi - third], dtype=np.int64)
+        lead, log_corr = _bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
+        left, right = np.logaddexp(np.log(lead), log_corr)
+        if left <= right:
+            hi = int(probe[1])
+        else:
+            lo = int(probe[0])
+    start = max(lo - _MARGIN, 0)
+    n0s = np.arange(start, min(hi + _MARGIN, N - 1) + 1, dtype=np.int64)
+    sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
+    i = int(np.argmin(sq))
+    best_n0 = start + i if math.isfinite(sq[i]) else 0
     return BurninPlan(
         n0=best_n0,
-        n=query.N - best_n0,
-        bound_value=math.sqrt(best_sq),
+        n=N - best_n0,
+        bound_value=math.sqrt(float(sq[i])),
         strategy="optimized",
     )
 

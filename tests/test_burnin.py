@@ -1,6 +1,7 @@
-"""Budget-split planning: closed-form suggestion, exact scan, half split."""
+"""Budget-split planning: closed-form suggestion, exact search, half split."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
+from mcmc_certify import cli
+from mcmc_certify.burnin import _budget_grid, _squared_bounds
+
+_SCAN_CHUNK = 4_000_000
+
+
+def scan_optimize_burnin(query, kind):
+    """Oracle: the exhaustive O(N) scan over every split, in chunks.
+
+    Ties resolve to the smallest burn-in; when every split is ``inf`` the
+    answer is ``n0 = 0``.
+    """
+    best_sq = math.inf
+    best_n0 = 0
+    for start in range(0, query.N, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, query.N)
+        n0s = np.arange(start, stop, dtype=np.int64)
+        sq = _squared_bounds((query.N - n0s).astype(np.float64), n0s, query.beta, query.C, kind)
+        i = int(np.argmin(sq))
+        if sq[i] < best_sq:
+            best_sq = float(sq[i])
+            best_n0 = start + i
+    return mc.BurninPlan(
+        n0=best_n0,
+        n=query.N - best_n0,
+        bound_value=math.sqrt(best_sq),
+        strategy="optimized",
+    )
+
+
+def assert_matches_scan(query, kind):
+    """Same split and a bit-equal bound as the exhaustive scan."""
+    got = mc.optimize_burnin(query, kind)
+    want = scan_optimize_burnin(query, kind)
+    assert got == want, (query, kind)
+    return got
 
 
 def bound_reference(N, n0, beta, C, kind):
@@ -32,6 +69,13 @@ def test_query_validation():
         mc.BudgetQuery(N=100, beta=0.5, C=0.0)
     with pytest.raises(ValueError):
         mc.BudgetQuery(N=100, beta=0.5, C=float("inf"))
+
+
+def test_query_budget_capped_at_float64_integers():
+    assert mc.BudgetQuery(N=2**53, beta=0.5, C=10.0).N == 2**53
+    for N in (2**53 + 1, 10**20):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            mc.BudgetQuery(N=N, beta=0.5, C=10.0)
 
 
 @pytest.mark.parametrize("kind", mc.BOUND_KINDS)
@@ -156,6 +200,75 @@ def test_published_splits_reproduced():
         query = mc.BudgetQuery(N=N, beta=beta, C=1e30)
         for kind in mc.BOUND_KINDS:
             assert mc.optimize_burnin(query, kind).n0 == n0_opt, (N, beta, kind)
+
+
+_BETAS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-12.0, max_value=0.0).map(lambda u: 1.0 - 10.0**u),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+
+
+@given(
+    N=st.integers(min_value=2, max_value=200_000),
+    beta=_BETAS,
+    log10_C=st.floats(min_value=-5.0, max_value=308.0),
+)
+@settings(max_examples=150)
+def test_optimize_matches_scan_oracle(N, beta, log10_C):
+    query = mc.BudgetQuery(N=N, beta=beta, C=10.0**log10_C)
+    for kind in mc.BOUND_KINDS:
+        assert_matches_scan(query, kind)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+@pytest.mark.parametrize(
+    "N, beta, C",
+    [
+        (4, 0.9999999, 1e308),
+        # The log correction is smallest near n0 = 2000, so the search ends
+        # far from n0 = 0.
+        (100_000, 0.9999796, sys.float_info.max),
+    ],
+)
+def test_optimize_all_splits_inf_gives_no_burnin(N, beta, C, kind):
+    plan = assert_matches_scan(mc.BudgetQuery(N=N, beta=beta, C=C), kind)
+    assert plan.n0 == 0 and math.isinf(plan.bound_value)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+def test_optimize_inf_at_both_ends_finds_finite_middle(kind):
+    # Needs C above 1e308: below it, an inf at n0 = 0 spreads to every split.
+    query = mc.BudgetQuery(N=10_000, beta=0.9997909, C=sys.float_info.max)
+    n0s = np.array([0, 500, query.N - 1], dtype=np.int64)
+    ends = _squared_bounds((query.N - n0s).astype(np.float64), n0s, query.beta, query.C, kind)
+    assert math.isinf(ends[0]) and math.isfinite(ends[1]) and math.isinf(ends[2])
+    plan = assert_matches_scan(query, kind)
+    assert math.isfinite(plan.bound_value)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+@pytest.mark.parametrize(
+    "N, beta, C",
+    [
+        (100_000, 0.0, 1e30),       # beta = 0: the correction drops at n0 = 1
+        (3, 0.0, 1e30),
+        (2, 0.5, 10.0),
+        (3, 0.9, 1e-5),
+        (2_000_000, 0.5, 1e30),     # beta^n0 sits on its floor for n0 > 1063
+    ],
+)
+def test_optimize_edge_cases_match_scan(N, beta, C, kind):
+    assert_matches_scan(mc.BudgetQuery(N=N, beta=beta, C=C), kind)
+
+
+def test_optimize_matches_scan_on_reproduction_inputs():
+    """The figure budgets (kind b4) and the table-1 splits (both kinds)."""
+    for N in _budget_grid(10**7):
+        assert_matches_scan(mc.BudgetQuery(N=N, beta=0.99, C=1e30), "b4")
+    for N, beta in cli._TABLE1_COMBOS:
+        for kind in mc.BOUND_KINDS:
+            assert_matches_scan(mc.BudgetQuery(N=N, beta=beta, C=cli._TABLE1_C), kind)
 
 
 def test_suggested_close_to_optimal_at_published_setting():

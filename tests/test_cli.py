@@ -171,6 +171,34 @@ def test_burnin_half_json(capsys):
     assert doc["penalty_vs_stationary"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+def test_burnin_optimize_huge_budget(capsys):
+    """A 10^12 budget is planned exactly, with no pass over every split."""
+    code, doc = run_json(
+        capsys,
+        [
+            "burnin", "--beta", "0.99", "--C", "1e30", "--N", "1000000000000",
+            "--strategy", "optimize", "--json",
+        ],
+    )
+    assert code == 0
+    query = mc.BudgetQuery(N=10**12, beta=0.99, C=1e30)
+    n0 = doc["n0"]
+    assert doc["bound_value"] == mc.bound_function(query, query.N - n0, n0, "binf")
+    for other in (n0 - 1, n0 + 1):
+        assert mc.bound_function(query, query.N - other, other, "binf") >= doc["bound_value"]
+
+
+def test_burnin_budget_above_2_pow_53_exits_2(package_env):
+    run = subprocess.run(
+        [sys.executable, "-m", "mcmc_certify.cli", "burnin", "--beta", "0.9",
+         "--C", "10", "--N", "100000000000000000000", "--strategy", "half"],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: budget N must be an integer in [2, 2**53]")
+    assert "Traceback" not in run.stderr
+
+
 def test_burnin_infeasible_suggestion_exits_2(capsys):
     code = cli.main(["burnin", "--beta", "0.999", "--C", "1e30", "--N", "100", "--json"])
     assert code == 2
