@@ -31,8 +31,8 @@ import numpy as np
 from ._geometric import u_sum, v_sum
 from .chain import (
     ReversibleChain,
+    _check_length,
     as_distribution,
-    as_state_function,
     mean_value,
     spectral_decompose,
     weighted_norm,
@@ -137,10 +137,8 @@ class BoundReport:
 def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str):
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    nu = np.asarray(as_distribution(nu))
-    f = np.asarray(as_state_function(f))
-    if nu.shape[0] != chain.size or f.shape[0] != chain.size:
-        raise ValueError("start distribution and function must match the chain size")
+    nu = _check_length(chain, nu, "start distribution", as_distribution)
+    f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     constants = BoundConstants(
         beta1=dec.beta1,

@@ -51,13 +51,11 @@ __all__ = [
     "as_state_function",
     "build_chain",
     "spectral_decompose",
-    "apply_to_function",
     "apply_to_distribution",
     "weighted_norm",
     "weighted_inner",
     "mean_value",
     "spectral_coefficients",
-    "operator_norm_on_mean_zero",
 ]
 
 # Row sums of P may deviate from 1 by at most this much.
@@ -377,25 +375,15 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     return dec
 
 
-def _check_length(chain: ReversibleChain, v: np.ndarray, what: str) -> None:
+def _check_length(
+    chain: ReversibleChain, values, what: str, coerce=as_state_function
+) -> np.ndarray:
+    """``coerce(values)`` as an array, checked to hold one entry per state."""
+    v = np.asarray(coerce(values))
     if v.shape[0] != chain.size:
         raise ValueError(
             f"{what} has length {v.shape[0]}, chain has {chain.size} states"
         )
-
-
-def apply_to_function(chain: ReversibleChain, f, k: int) -> np.ndarray:
-    """Return ``P^k f`` by repeated matrix-vector products.
-
-    ``P^k`` is never materialized, so the cost is O(k d^2) and large ``k``
-    stays cheap in memory.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"power k must be a nonnegative integer, got {k!r}")
-    v = np.asarray(as_state_function(f)).copy()
-    _check_length(chain, v, "function")
-    for _ in range(int(k)):
-        v = chain.P @ v
     return v
 
 
@@ -403,8 +391,7 @@ def apply_to_distribution(chain: ReversibleChain, nu, k: int) -> np.ndarray:
     """Return ``nu P^k`` as a valid distribution (renormalized against drift)."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"power k must be a nonnegative integer, got {k!r}")
-    w = np.asarray(as_distribution(nu)).copy()
-    _check_length(chain, w, "distribution")
+    w = _check_length(chain, nu, "distribution", as_distribution)
     for _ in range(int(k)):
         w = w @ chain.P
     return w / w.sum()
@@ -454,59 +441,3 @@ def spectral_coefficients(
     f = np.asarray(f, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
     return (pi * f) @ dec.eigenfunctions
-
-
-def _mean_zero_trials(chain: ReversibleChain, p) -> np.ndarray:
-    """Deterministic family of candidate mean-zero functions (columns)."""
-    d = chain.size
-    dec = spectral_decompose(chain)
-    cols = [dec.eigenfunctions[:, k] for k in range(1, d)]
-
-    # Coordinate differences probe localized behavior the eigenbasis may
-    # average out; cap the pair count on larger spaces.
-    if d <= 32:
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    else:
-        pairs = [(i, i + 1) for i in range(d - 1)] + [(0, j) for j in range(1, d)]
-    for i, j in pairs:
-        e = np.zeros(d)
-        e[i], e[j] = 1.0, -1.0
-        cols.append(e)
-
-    rng = np.random.default_rng(0x5EEDED)
-    cols.extend(rng.standard_normal((16, d)))
-
-    trials = []
-    for v in cols:
-        v = v - mean_value(v, chain.pi)
-        norm = weighted_norm(v, chain.pi, p)
-        if norm > 1e-14:
-            trials.append(v / norm)
-    return np.stack(trials, axis=1)
-
-
-def operator_norm_on_mean_zero(chain: ReversibleChain, n: int, p) -> float:
-    """Empirical lower estimate of ``||P^n||`` on mean-zero functions in l_p(pi).
-
-    Maximizes ``||P^n v||_p`` over a fixed deterministic trial set (all
-    nontrivial eigenfunctions, coordinate differences, and a seeded random
-    batch), each normalized to ``||v||_p = 1``.  This is a *lower* estimate:
-    the true operator norm can only be larger.  For p = 2 the eigenfunction
-    ``u_1`` (or the most negative one) is an exact maximizer, so the estimate
-    equals ``beta^n`` there.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if p not in (2, 4):
-        raise ValueError(f"p must be 2 or 4, got {p!r}")
-    if chain.size == 1:
-        return 0.0
-    G = _mean_zero_trials(chain, p)
-    for _ in range(int(n)):
-        G = chain.P @ G
-    if p == 2:
-        norms = np.sqrt(chain.pi @ (G * G))
-    else:
-        G2 = G * G
-        norms = (chain.pi @ (G2 * G2)) ** 0.25
-    return float(np.max(norms))

@@ -325,7 +325,11 @@ def cmd_simulate_check(args) -> int:
                 f,
                 SimulationConfig(replications=args.replications, seed=args.seed, spec=spec),
             )
-            z = abs(emp.mse_hat - exact) / emp.std_error
+            gap = abs(emp.mse_hat - exact)
+            if emp.std_error > 0.0:
+                z = gap / emp.std_error
+            else:  # every replication gave the same squared error
+                z = 0.0 if gap == 0.0 else math.inf
             bound_floor = min(
                 bound_theorem(chain, nu, f, spec, kind).total for kind in NORM_KINDS
             )

@@ -23,20 +23,16 @@ from .chain import (
     ReversibleChain,
     apply_to_distribution,
     as_distribution,
-    as_state_function,
-    weighted_inner,
     weighted_norm,
 )
 from .errors import ZeroMass
 
 __all__ = [
     "chi2_contrast",
-    "total_variation",
     "density_ratio_bound",
     "mass_floor_bound",
     "DeviationFunction",
     "deviation_function",
-    "l_functional",
 ]
 
 # Reference measures with mass this small make density ratios meaningless.
@@ -61,15 +57,6 @@ def chi2_contrast(nu, mu) -> float:
     _ratio_safe(mu, "reference distribution")
     diff = nu - mu
     return float(np.sum(diff * diff / mu))
-
-
-def total_variation(nu, mu) -> float:
-    """Total-variation distance ``(1/2) sum_x |nu[x] - mu[x]|`` in [0, 1]."""
-    nu = np.asarray(as_distribution(nu))
-    mu = np.asarray(as_distribution(mu))
-    if nu.shape != mu.shape:
-        raise ValueError("distributions must have equal length")
-    return 0.5 * float(np.sum(np.abs(nu - mu)))
 
 
 def density_ratio_bound(nu, pi) -> float:
@@ -120,20 +107,3 @@ def deviation_function(chain: ReversibleChain, nu, k: int) -> DeviationFunction:
         norm_l2=weighted_norm(values, chain.pi, 2),
         norm_linf=weighted_norm(values, chain.pi, np.inf),
     )
-
-
-def l_functional(chain: ReversibleChain, nu, k: int, h) -> float:
-    """Burn-in functional ``L_k(h) = <d_k, h>_pi`` for ``k >= 1``.
-
-    Equals ``E_nu[h(X_{k+1})] - <h, 1>_pi`` when states are sampled along the
-    chain, i.e. the residual bias after ``k`` transitions.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"functional index k must be >= 1, got {k!r}")
-    h = np.asarray(as_state_function(h))
-    if h.shape[0] != chain.size:
-        raise ValueError(
-            f"function has length {h.shape[0]}, chain has {chain.size} states"
-        )
-    dev = deviation_function(chain, nu, k)
-    return weighted_inner(dev.values, h, chain.pi)

@@ -43,7 +43,13 @@ class SpectralFailure(ChainError):
 
 
 class BudgetOverflow(ChainError):
-    """An exact computation would exceed the configured work cap."""
+    """A computation would exceed a fixed resource guard.
+
+    Raised by :func:`~mcmc_certify.simulate.estimate_error` when the uniform
+    block (R * (n + n0) doubles) would exceed its cap, and by
+    :func:`~mcmc_certify.exact_error.exact_error` when the start is still
+    concentrated on states of small pi after 4096 exact steps.
+    """
 
 
 class TooLarge(ChainError):

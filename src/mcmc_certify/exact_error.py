@@ -38,9 +38,9 @@ import numpy as np
 from ._geometric import pair_sums, window_weight
 from .chain import (
     ReversibleChain,
+    _check_length,
     _with_balanced_pi,
     as_distribution,
-    as_state_function,
     mean_value,
     spectral_coefficients,
     spectral_decompose,
@@ -55,7 +55,6 @@ __all__ = [
     "w_factor",
     "worst_case_mse",
     "stationary_error",
-    "worst_case_stationary",
     "asymptotic_constant",
     "exact_error",
     "exact_error_naive",
@@ -141,23 +140,11 @@ def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} a_k^2 W(n, lam_k)``."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"window length n must be a positive integer, got {n!r}")
-    f = np.asarray(as_state_function(f))
-    if f.shape[0] != chain.size:
-        raise ValueError(f"function has length {f.shape[0]}, chain has {chain.size} states")
+    f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]
     weights = window_weight(int(n), np.maximum(dec.eigenvalues[1:], -1.0))
     return float(np.dot(a * a, weights)) / (float(n) * float(n))
-
-
-def worst_case_stationary(chain: ReversibleChain, n: int) -> float:
-    """Worst stationary MSE over unit-norm functions; see :func:`worst_case_mse`."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"window length n must be a positive integer, got {n!r}")
-    if chain.size == 1:
-        return 0.0
-    dec = spectral_decompose(chain)
-    return worst_case_mse(int(n), dec.beta1)
 
 
 def asymptotic_constant(chain: ReversibleChain, f) -> float:
@@ -166,25 +153,13 @@ def asymptotic_constant(chain: ReversibleChain, f) -> float:
     Returns ``inf`` if the spectral gap is below 1e-12 (no finite constant
     can be certified at that resolution).
     """
-    f = np.asarray(as_state_function(f))
-    if f.shape[0] != chain.size:
-        raise ValueError(f"function has length {f.shape[0]}, chain has {chain.size} states")
+    f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     if chain.size > 1 and 1.0 - dec.beta1 < 1e-12:
         return math.inf
     a = spectral_coefficients(dec, f, chain.pi)[1:]
     lam = dec.eigenvalues[1:]
     return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam)))
-
-
-def _validate_triplet(chain: ReversibleChain, nu, f):
-    nu = np.asarray(as_distribution(nu))
-    f = np.asarray(as_state_function(f))
-    if nu.shape[0] != chain.size:
-        raise ValueError(f"start distribution has length {nu.shape[0]}, chain has {chain.size} states")
-    if f.shape[0] != chain.size:
-        raise ValueError(f"function has length {f.shape[0]}, chain has {chain.size} states")
-    return nu, f
 
 
 def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErrorReport:
@@ -210,7 +185,8 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     Raises :class:`BudgetOverflow` if the start is still concentrated on
     states of small pi after 4096 steps and the window goes on beyond them.
     """
-    nu, f = _validate_triplet(chain, nu, f)
+    nu = _check_length(chain, nu, "start distribution", as_distribution)
+    f = _check_length(chain, f, "function")
     n, n0 = int(spec.n), int(spec.n0)
     chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
@@ -274,7 +250,8 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     route shares no intermediate results with :func:`exact_error`.  Costs
     O(n (n + n0) d^2); restricted to n <= 50.
     """
-    nu, f = _validate_triplet(chain, nu, f)
+    nu = _check_length(chain, nu, "start distribution", as_distribution)
+    f = _check_length(chain, f, "function")
     n, n0 = int(spec.n), int(spec.n0)
     if n > 50:
         raise ValueError("naive cross-check is restricted to n <= 50")
@@ -319,7 +296,8 @@ def path_enumeration_oracle(chain: ReversibleChain, nu, f, spec: EstimatorSpec) 
     the analytic routes are tested against.  Raises :class:`TooLarge` beyond
     10^7 paths.
     """
-    nu, f = _validate_triplet(chain, nu, f)
+    nu = _check_length(chain, nu, "start distribution", as_distribution)
+    f = _check_length(chain, f, "function")
     n, n0 = int(spec.n), int(spec.n0)
     d = chain.size
     length = n + n0

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ReversibleChain, as_distribution, as_state_function, mean_value
+from .chain import ReversibleChain, _check_length, as_distribution, mean_value
 from .errors import BudgetOverflow
 from .exact_error import EstimatorSpec
 
 __all__ = [
     "SimulationConfig",
     "EmpiricalErrorReport",
-    "sample_trajectory",
     "estimate_error",
 ]
 
@@ -70,29 +69,13 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def sample_trajectory(chain: ReversibleChain, nu, length: int, rng_stream) -> np.ndarray:
-    """Sample one trajectory of the given length, X_1 ~ nu.
+def _step(u: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the state that uniform ``u[i]`` selects from CDF row i.
 
-    Consumes exactly ``length`` uniforms from ``rng_stream`` (a numpy
-    Generator), one per state, mapped through the inverse CDF of the start
-    distribution resp. the current transition row.
+    ``cdf_rows`` holds one row per uniform, or one row shared by all.  The
+    state is the number of CDF entries at or below ``u[i]``.
     """
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    nu = np.asarray(as_distribution(nu))
-    if nu.shape[0] != chain.size:
-        raise ValueError(
-            f"start distribution has length {nu.shape[0]}, chain has {chain.size} states"
-        )
-    u = rng_stream.random(int(length))
-    row_cdf = _cdf(chain.P)
-    states = np.empty(int(length), dtype=np.intp)
-    x = int(np.searchsorted(_cdf(nu), u[0], side="right"))
-    states[0] = x
-    for t in range(1, int(length)):
-        x = int(np.searchsorted(row_cdf[x], u[t], side="right"))
-        states[t] = x
-    return states
+    return (u[:, None] >= cdf_rows).sum(axis=1)
 
 
 def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> EmpiricalErrorReport:
@@ -103,10 +86,8 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     block.  ``std_error`` is the sample standard deviation of the squared
     errors divided by sqrt(R).
     """
-    nu = np.asarray(as_distribution(nu))
-    f = np.asarray(as_state_function(f))
-    if nu.shape[0] != chain.size or f.shape[0] != chain.size:
-        raise ValueError("start distribution and function must match the chain size")
+    nu = _check_length(chain, nu, "start distribution", as_distribution)
+    f = _check_length(chain, f, "function")
 
     spec = config.spec
     n, n0 = int(spec.n), int(spec.n0)
@@ -124,10 +105,10 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     nu_cdf = _cdf(nu)
 
     # state of every replication after the first draw
-    states = (uniforms[:, 0][:, None] >= nu_cdf).sum(axis=1)
+    states = _step(uniforms[:, 0], nu_cdf)
     window_sums = f[states] if n0 == 0 else np.zeros(R)
     for t in range(1, length):
-        states = (uniforms[:, t][:, None] >= row_cdf[states]).sum(axis=1)
+        states = _step(uniforms[:, t], row_cdf[states])
         if t >= n0:
             window_sums += f[states]
 

@@ -1,9 +1,11 @@
-"""Hypothesis strategies and chain helpers shared by the test modules."""
+"""Hypothesis strategies, chain helpers and reference computations for the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
+from mcmc_certify.chain import _check_length
+from mcmc_certify.simulate import _cdf, _step
 
 
 def metropolis_chain(weights) -> mc.ReversibleChain:
@@ -110,3 +112,127 @@ def forward_exact_mse(chain, nu, f, n: int, n0: int, chunk: int = 2048):
         later = n - 2 - np.arange(first, min(first + chunk, n - 1))
         cross = cross + np.einsum("j...d,jd->...", dev[: later.size], prefix[later])
     return mc.stationary_error(chain, f, n) + (diagonal + 2.0 * cross) / (float(n) * float(n))
+
+
+# Verification aids: reference computations that only the tests call.
+
+
+def apply_to_function(chain, f, k: int) -> np.ndarray:
+    """Return ``P^k f`` by repeated matrix-vector products.
+
+    ``P^k`` is never materialized, so the cost is O(k d^2) and large ``k``
+    stays cheap in memory.
+    """
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"power k must be a nonnegative integer, got {k!r}")
+    v = _check_length(chain, f, "function")
+    for _ in range(int(k)):
+        v = chain.P @ v
+    return v
+
+
+def _mean_zero_trials(chain, p) -> np.ndarray:
+    """Deterministic family of candidate mean-zero functions (columns)."""
+    d = chain.size
+    dec = mc.spectral_decompose(chain)
+    cols = [dec.eigenfunctions[:, k] for k in range(1, d)]
+
+    # Coordinate differences probe localized behavior the eigenbasis may
+    # average out; cap the pair count on larger spaces.
+    if d <= 32:
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    else:
+        pairs = [(i, i + 1) for i in range(d - 1)] + [(0, j) for j in range(1, d)]
+    for i, j in pairs:
+        e = np.zeros(d)
+        e[i], e[j] = 1.0, -1.0
+        cols.append(e)
+
+    rng = np.random.default_rng(0x5EEDED)
+    cols.extend(rng.standard_normal((16, d)))
+
+    trials = []
+    for v in cols:
+        v = v - mc.mean_value(v, chain.pi)
+        norm = mc.weighted_norm(v, chain.pi, p)
+        if norm > 1e-14:
+            trials.append(v / norm)
+    return np.stack(trials, axis=1)
+
+
+def operator_norm_on_mean_zero(chain, n: int, p) -> float:
+    """Empirical lower estimate of ``||P^n||`` on mean-zero functions in l_p(pi).
+
+    Maximizes ``||P^n v||_p`` over a fixed deterministic trial set (all
+    nontrivial eigenfunctions, coordinate differences, and a seeded random
+    batch), each normalized to ``||v||_p = 1``.  This is a *lower* estimate:
+    the true operator norm can only be larger.  For p = 2 the eigenfunction
+    ``u_1`` (or the most negative one) is an exact maximizer, so the estimate
+    equals ``beta^n`` there.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if p not in (2, 4):
+        raise ValueError(f"p must be 2 or 4, got {p!r}")
+    if chain.size == 1:
+        return 0.0
+    G = _mean_zero_trials(chain, p)
+    for _ in range(int(n)):
+        G = chain.P @ G
+    if p == 2:
+        norms = np.sqrt(chain.pi @ (G * G))
+    else:
+        G2 = G * G
+        norms = (chain.pi @ (G2 * G2)) ** 0.25
+    return float(np.max(norms))
+
+
+def total_variation(nu, mu) -> float:
+    """Total-variation distance ``(1/2) sum_x |nu[x] - mu[x]|`` in [0, 1]."""
+    nu = np.asarray(mc.as_distribution(nu))
+    mu = np.asarray(mc.as_distribution(mu))
+    if nu.shape != mu.shape:
+        raise ValueError("distributions must have equal length")
+    return 0.5 * float(np.sum(np.abs(nu - mu)))
+
+
+def l_functional(chain, nu, k: int, h) -> float:
+    """Burn-in functional ``L_k(h) = <d_k, h>_pi`` for ``k >= 1``.
+
+    Equals ``E_nu[h(X_{k+1})] - <h, 1>_pi`` when states are sampled along the
+    chain, i.e. the residual bias after ``k`` transitions.
+    """
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"functional index k must be >= 1, got {k!r}")
+    h = _check_length(chain, h, "function")
+    dev = mc.deviation_function(chain, nu, k)
+    return mc.weighted_inner(dev.values, h, chain.pi)
+
+
+def worst_case_stationary(chain, n: int) -> float:
+    """Worst stationary MSE over unit-norm functions; see ``mc.worst_case_mse``."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"window length n must be a positive integer, got {n!r}")
+    if chain.size == 1:
+        return 0.0
+    return mc.worst_case_mse(int(n), mc.spectral_decompose(chain).beta1)
+
+
+def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
+    """Sample one trajectory of the given length, X_1 ~ nu.
+
+    Consumes exactly ``length`` uniforms from ``rng_stream`` (a numpy
+    Generator), one per state, and takes each state by the sampler step of
+    ``mc.estimate_error`` from the start distribution resp. the current
+    transition row.
+    """
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValueError(f"length must be a positive integer, got {length!r}")
+    nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
+    u = rng_stream.random(int(length))
+    row_cdf = _cdf(chain.P)
+    states = np.empty(int(length), dtype=np.intp)
+    states[:1] = _step(u[:1], _cdf(nu))
+    for t in range(1, int(length)):
+        states[t : t + 1] = _step(u[t : t + 1], row_cdf[states[t - 1 : t]])
+    return states

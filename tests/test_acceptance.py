@@ -24,6 +24,8 @@ import pytest
 import mcmc_certify as mc
 from mcmc_certify import cli
 
+from chain_strategies import l_functional, operator_norm_on_mean_zero, worst_case_stationary
+
 REL = 1.0 + 1e-10
 ATOL_NOISE = 1e-25   # products of pure rounding noise (squared contrasts)
 ATOL_LINALG = 1e-12  # one matvec/inner-product worth of rounding
@@ -133,7 +135,7 @@ def test_acceptance_worst_case_equality(suite):
             worst = max(worst, gap)
             assert gap <= 1e-12, (name, n, got, closed)
             # The closed form is also exactly the worst case over the unit ball.
-            assert mc.worst_case_stationary(chain, n) == pytest.approx(closed, rel=1e-12)
+            assert worst_case_stationary(chain, n) == pytest.approx(closed, rel=1e-12)
     report(
         f"PASS worst-case-equality: 6 chains x n=1..100, worst relative gap {worst:.2e}"
     )
@@ -196,9 +198,9 @@ def test_acceptance_inequality_suites(suite):
     for name, chain in suite.items():
         beta = mc.spectral_decompose(chain).beta
         for n in range(1, 21):
-            n2 = mc.operator_norm_on_mean_zero(chain, n, 2)
+            n2 = operator_norm_on_mean_zero(chain, n, 2)
             assert n2 <= beta**n * REL + ATOL_LINALG, (name, n)
-            n4 = mc.operator_norm_on_mean_zero(chain, n, 4)
+            n4 = operator_norm_on_mean_zero(chain, n, 4)
             assert n4 <= 2.0 * sqrt2 * beta ** (n / 2.0) * REL + ATOL_LINALG, (name, n)
             counts[1] += 2
 
@@ -229,7 +231,7 @@ def test_acceptance_inequality_suites(suite):
             for k in range(1, 31):
                 damp = beta**k
                 for h in hs:
-                    lhs = abs(mc.l_functional(chain, nu, k, h))
+                    lhs = abs(l_functional(chain, nu, k, h))
                     rhs1 = damp * math.sqrt(c_pi) * math.sqrt(c_density) * mc.weighted_norm(h, chain.pi, 1)
                     rhs2 = damp * math.sqrt(c_density) * mc.weighted_norm(h, chain.pi, 2)
                     assert lhs <= rhs1 * REL + ATOL_LINALG, (name, k)

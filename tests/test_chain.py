@@ -13,7 +13,12 @@ from mcmc_certify.errors import (
     ZeroMass,
 )
 
-from chain_strategies import reversible_chains, state_functions
+from chain_strategies import (
+    apply_to_function,
+    operator_norm_on_mean_zero,
+    reversible_chains,
+    state_functions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,7 @@ def test_apply_to_function_matches_matrix_power(bd3):
     f = np.array([1.0, -2.0, 0.5])
     k = 5
     expected = np.linalg.matrix_power(bd3.P, k) @ f
-    assert mc.apply_to_function(bd3, f, k) == pytest.approx(expected, rel=1e-13)
+    assert apply_to_function(bd3, f, k) == pytest.approx(expected, rel=1e-13)
 
 
 def test_apply_to_distribution_matches_matrix_power(bd3):
@@ -200,7 +205,7 @@ def test_apply_to_distribution_matches_matrix_power(bd3):
 
 def test_apply_zero_steps_is_identity(bd3):
     f = np.array([0.3, -1.0, 2.0])
-    assert mc.apply_to_function(bd3, f, 0) == pytest.approx(f)
+    assert apply_to_function(bd3, f, 0) == pytest.approx(f)
 
 
 def test_weighted_norms_hand_values(two_state):
@@ -248,15 +253,15 @@ def test_operator_norm_p2_equals_beta_power(suite):
             continue
         beta = mc.spectral_decompose(chain).beta
         for n in (1, 3):
-            got = mc.operator_norm_on_mean_zero(chain, n, 2)
+            got = operator_norm_on_mean_zero(chain, n, 2)
             assert got == pytest.approx(beta**n, rel=1e-10, abs=1e-12), (name, n)
 
 
 def test_operator_norm_validates_arguments(two_state):
     with pytest.raises(ValueError):
-        mc.operator_norm_on_mean_zero(two_state, 0, 2)
+        operator_norm_on_mean_zero(two_state, 0, 2)
     with pytest.raises(ValueError):
-        mc.operator_norm_on_mean_zero(two_state, 1, 3)
+        operator_norm_on_mean_zero(two_state, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def test_random_chain_spectrum_in_unit_interval(chain):
 def test_apply_is_power_of_kernel(chain, k):
     f = np.arange(chain.size, dtype=float)
     expected = np.linalg.matrix_power(chain.P, k) @ f
-    assert mc.apply_to_function(chain, f, k) == pytest.approx(expected, abs=1e-11)
+    assert apply_to_function(chain, f, k) == pytest.approx(expected, abs=1e-11)
 
 
 def test_chain_arrays_are_readonly(two_state):

@@ -307,3 +307,16 @@ def test_simulate_check_small(capsys):
         assert case["pass"] is True
         assert case["z"] <= 4.0
         assert case["tightest_bound"] >= case["mse_hat"] - 4.0 * case["std_error"]
+
+
+def test_simulate_check_tiny_replications_reports_instead_of_crashing(capsys):
+    # With R = 2 both replications often give the same squared error, so the
+    # standard error is 0; such a case fails unless the estimate is exact.
+    code, doc = run_json(
+        capsys, ["simulate-check", "--replications", "2", "--seed", "1", "--json"]
+    )
+    assert code in (0, 1)
+    assert code == (0 if doc["all_pass"] else 1)
+    for case in doc["results"]:
+        if case["std_error"] == 0.0 and case["mse_hat"] != case["exact_mse"]:
+            assert case["z"] == math.inf and case["pass"] is False

@@ -25,6 +25,7 @@ from chain_strategies import (
     reversible_chains,
     standard_starts,
     state_functions,
+    worst_case_stationary,
 )
 
 # (n, n0) -> exact MSE as a rational, for nu = delta_0, f = 1_{state 0}.
@@ -190,7 +191,7 @@ def test_worst_case_attained_by_leading_eigenfunction(suite):
         dec = mc.spectral_decompose(chain)
         u1 = dec.eigenfunctions[:, 1]
         for n in (1, 3, 25):
-            worst = mc.worst_case_stationary(chain, n)
+            worst = worst_case_stationary(chain, n)
             attained = mc.stationary_error(chain, u1, n)
             assert attained == pytest.approx(worst, rel=1e-11), (name, n)
             assert worst == pytest.approx(mc.worst_case_mse(n, dec.beta1), rel=1e-12)

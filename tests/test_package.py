@@ -43,3 +43,18 @@ def test_all_reexports_every_submodule_name():
     assert set(mc.__all__) == exported
     # The star import binds the function over the submodule of the same name.
     assert inspect.isfunction(mc.exact_error)
+
+
+def test_verification_aids_are_not_public():
+    moved = {
+        "chain": ("apply_to_function", "operator_norm_on_mean_zero"),
+        "convergence": ("l_functional", "total_variation"),
+        "simulate": ("sample_trajectory",),
+        "exact_error": ("worst_case_stationary",),
+    }
+    for module_name, names in moved.items():
+        module = importlib.import_module(f"mcmc_certify.{module_name}")
+        for name in names:
+            assert name not in mc.__all__, name
+            assert not hasattr(module, name), (module_name, name)
+    assert len(mc.__all__) == 67

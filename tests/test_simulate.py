@@ -13,6 +13,8 @@ import pytest
 import mcmc_certify as mc
 from mcmc_certify.errors import BudgetOverflow
 
+from chain_strategies import sample_trajectory
+
 
 def test_config_validation():
     spec = mc.EstimatorSpec(n=2, n0=0)
@@ -98,7 +100,7 @@ def test_sample_trajectory_consumes_one_uniform_per_state(bd3):
     L = 37
     gen_a = np.random.Generator(np.random.Philox(key=5))
     gen_b = np.random.Generator(np.random.Philox(key=5))
-    path = mc.sample_trajectory(bd3, nu, L, gen_a)
+    path = sample_trajectory(bd3, nu, L, gen_a)
     gen_b.random(L)  # skip exactly L draws
     assert gen_a.random() == gen_b.random()
     assert path.shape == (L,)
@@ -110,7 +112,7 @@ def test_sample_trajectory_visits_follow_nu(bd3):
     # First states across many short trajectories follow nu.
     nu = np.array([0.2, 0.5, 0.3])
     gen = np.random.Generator(np.random.Philox(key=77))
-    firsts = np.array([mc.sample_trajectory(bd3, nu, 1, gen)[0] for _ in range(4000)])
+    firsts = np.array([sample_trajectory(bd3, nu, 1, gen)[0] for _ in range(4000)])
     freq = np.bincount(firsts, minlength=3) / 4000
     assert freq == pytest.approx(nu, abs=0.03)
 
@@ -118,9 +120,9 @@ def test_sample_trajectory_visits_follow_nu(bd3):
 def test_sample_trajectory_validation(bd3):
     gen = np.random.Generator(np.random.Philox(key=1))
     with pytest.raises(ValueError):
-        mc.sample_trajectory(bd3, [0.5, 0.5], 3, gen)
+        sample_trajectory(bd3, [0.5, 0.5], 3, gen)
     with pytest.raises(ValueError):
-        mc.sample_trajectory(bd3, [0.2, 0.5, 0.3], 0, gen)
+        sample_trajectory(bd3, [0.2, 0.5, 0.3], 0, gen)
 
 
 def test_block_cap_trips(two_state):
@@ -157,6 +159,6 @@ def test_row_deficit_never_steps_to_zero_probability_state():
     nu = np.array([0.33, 0.56, 0.11, 0.0])
     for u in (1.0 - 1e-13, np.nextafter(1.0, 0.0)):
         for start in (nu, np.eye(4)[0]):
-            path = mc.sample_trajectory(chain, start, 6, _ConstantUniforms(u))
+            path = sample_trajectory(chain, start, 6, _ConstantUniforms(u))
             assert start[path[0]] > 0.0, (u, path)
             assert all(chain.P[x, y] > 0.0 for x, y in zip(path[:-1], path[1:])), (u, path)
