@@ -36,6 +36,7 @@ from .errors import (
     NotReversible,
     NotStochastic,
     SpectralFailure,
+    TooLarge,
     ZeroMass,
 )
 
@@ -67,6 +68,10 @@ STAT_TOL = 1e-10
 # Spectral sanity: |lam[0] - 1| must stay below this, and beta must stay
 # below 1 - SPEC_TOL for the chain to count as ergodic.
 SPEC_TOL = 1e-8
+# Most states a chain may have.  Peak RSS of the CLI's `error --exact` was
+# 34 MB + 74 bytes * d**2 at d = 400..1600 (a parsed chain file, the dense
+# arrays and eigh), so the cap costs about 1.3 GB and minutes of O(d**3).
+_MAX_STATES = 4096
 
 _VALID_P = {1, 2, 4, np.inf}
 
@@ -111,10 +116,19 @@ def as_transition_matrix(entries) -> np.ndarray:
 
     Raises
     ------
+    TooLarge
+        If there are more than 4096 rows; checked before the copy.
     NotStochastic
         If the array is not square, has negative or non-finite entries, or a
         row sum deviates from 1 by more than ``ROW_TOL``.
     """
+    # len, not np.shape: np.shape of a nested list builds the array itself.
+    try:
+        rows = len(entries)
+    except TypeError:  # a scalar, refused as not square below
+        rows = 0
+    if rows > _MAX_STATES:
+        raise TooLarge(f"transition matrix has {rows} rows, cap is {_MAX_STATES} states")
     P = np.array(entries, dtype=np.float64, copy=True)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
         raise NotStochastic(f"transition matrix must be square, got shape {P.shape}")

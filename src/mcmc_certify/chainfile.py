@@ -4,7 +4,8 @@ Schema: an object with a required ``"P"`` (list of rows) and optional
 ``"pi"``, ``"nu"``, ``"f"`` (vectors of matching length) and ``"labels"``
 (distinct state names).  Schema violations raise ValueError with the
 offending key; the matrix/vector contents are then validated by the chain
-constructors, which report row/column indices themselves.
+constructors, which report row/column indices themselves.  A ``"P"`` with
+more rows than the chain size cap raises TooLarge before any array is built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ReversibleChain, as_distribution, as_state_function, build_chain
+from .chain import _MAX_STATES, ReversibleChain, _check_length, as_distribution, build_chain
+from .errors import TooLarge
 
 __all__ = ["ChainInput", "load_chain_file"]
 
@@ -50,6 +52,8 @@ def load_chain_file(path) -> ChainInput:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
     if "P" not in doc:
         raise ValueError(f'{path}: missing required key "P"')
+    if isinstance(doc["P"], list) and len(doc["P"]) > _MAX_STATES:
+        raise TooLarge(f'{path}: "P" has {len(doc["P"])} rows, cap is {_MAX_STATES} states')
 
     chain = build_chain(doc["P"], doc.get("pi"))
     d = chain.size
@@ -67,14 +71,10 @@ def load_chain_file(path) -> ChainInput:
 
     nu = doc.get("nu")
     if nu is not None:
-        nu = np.asarray(as_distribution(nu))
-        if nu.shape[0] != d:
-            raise ValueError(f'{path}: "nu" has length {nu.shape[0]}, expected {d}')
+        nu = _check_length(chain, nu, f'{path}: "nu"', as_distribution)
 
     f = doc.get("f")
     if f is not None:
-        f = np.asarray(as_state_function(f))
-        if f.shape[0] != d:
-            raise ValueError(f'{path}: "f" has length {f.shape[0]}, expected {d}')
+        f = _check_length(chain, f, f'{path}: "f"')
 
     return ChainInput(chain=chain, nu=nu, f=f, labels=labels)

@@ -9,9 +9,12 @@ reproduce      write the reference table / figure-curve CSV files
 simulate-check run the seeded statistical soundness suite
 
 Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
-error, 3 resource cap (the simulation block guard), 4 I/O error.
-Machine output: ``--json`` dumps a schema-stable JSON document; CSV files use
-shortest-round-trip float formatting, so they are bit-stable across platforms.
+error, 3 resource cap (``TooLarge``: a chain of more than 4096 states;
+``BudgetOverflow``: a simulated replication longer than 2**27 steps, or an
+exact error whose start stays trapped), 4 I/O error.
+Machine output: ``--json`` dumps a schema-stable JSON document (non-finite
+floats as ``null``); CSV files use shortest-round-trip float formatting, so
+they are bit-stable across platforms.
 """
 
 from __future__ import annotations
@@ -70,8 +73,21 @@ def _machine(x: float) -> str:
     return repr(float(x))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however nested, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    # JSON has no Infinity or NaN, so they go out as null; a verdict such as
+    # simulate-check's "pass" still carries the outcome.
+    print(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _write_csv(path: str, header: str, rows) -> None:

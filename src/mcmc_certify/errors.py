@@ -45,12 +45,21 @@ class SpectralFailure(ChainError):
 class BudgetOverflow(ChainError):
     """A computation would exceed a fixed resource guard.
 
-    Raised by :func:`~mcmc_certify.simulate.estimate_error` when the uniform
-    block (R * (n + n0) doubles) would exceed its cap, and by
+    Raised by :func:`~mcmc_certify.simulate.estimate_error` when one
+    replication would take more than 2**27 uniforms (a batch of the uniform
+    block holds at least one whole replication), and by
     :func:`~mcmc_certify.exact_error.exact_error` when the start is still
     concentrated on states of small pi after 4096 exact steps.
     """
 
 
 class TooLarge(ChainError):
-    """Brute-force path enumeration would exceed the hard size cap."""
+    """An input exceeds a hard size cap.
+
+    Raised by :func:`~mcmc_certify.chain.as_transition_matrix` (and so by
+    :func:`~mcmc_certify.chain.build_chain`) and by
+    :func:`~mcmc_certify.chainfile.load_chain_file` for a chain of more than
+    4096 states, before the dense matrix is built, and by
+    :func:`~mcmc_certify.exact_error.path_enumeration_oracle` beyond 10**7
+    paths.
+    """

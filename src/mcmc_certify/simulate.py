@@ -2,11 +2,14 @@
 
 Replicates the burn-in estimator R times and reports the empirical MSE with
 its standard error.  Reproducibility is taken seriously: all randomness comes
-from one counter-based generator (Philox) keyed by the user seed, drawn as a
-single (R x (n+n0)) uniform block in which row i drives replication i through
-inverse-CDF transition steps.  The result is a pure function of
-(chain, nu, f, config) — independent of evaluation order, BLAS threading, or
-platform — which is what lets tests pin it to exact values.
+from one counter-based generator (Philox) keyed by the user seed.  Replication
+i consumes row i of the (R x (n+n0)) uniform block, one uniform per
+inverse-CDF transition step.  The block is drawn in batches of whole rows,
+about 2**20 doubles each; row-major draws from one generator make the batches
+equal to the single block, so memory is O(batch + R) while the result stays a
+pure function of (chain, nu, f, config) — independent of evaluation order,
+BLAS threading, or platform — which is what lets tests pin it to exact values.
+Each step is a branchless bisection over the saturated CDF rows, O(R log d).
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ __all__ = [
     "estimate_error",
 ]
 
-# Upper limit on the uniform block (R * (n+n0) doubles, ~1 GiB).
-_BLOCK_ELEMS_CAP = 1 << 27
+# Uniforms drawn at once (8 MiB of doubles), rounded to whole replications.
+_BATCH_ELEMS = 1 << 20
+# Longest replication: a batch holds at least one whole row (1 GiB of doubles).
+_ROW_CAP = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -69,22 +74,66 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _step(u: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: the state that uniform ``u[i]`` selects from CDF row i.
+def _step(u: np.ndarray, cdf: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the state that uniform ``u[i]`` selects from row ``states[i]``.
 
-    ``cdf_rows`` holds one row per uniform, or one row shared by all.  The
-    state is the number of CDF entries at or below ``u[i]``.
+    ``cdf`` holds saturated CDF rows from :func:`_cdf`, C-contiguous (a 1-D
+    ``cdf`` is its one row).  The state is the number of entries of the row
+    at or below ``u[i]``.  For u in [0, 1) that predicate holds on a prefix of
+    each row: running sums never decrease, an excursion above 1 before the
+    last positive entry stays above u, and the saturated tail is 1.  So a
+    branchless bisection finds the prefix end, in ceil(log2(d-1)) rounds and
+    one last compare.
     """
-    return (u[:, None] >= cdf_rows).sum(axis=1)
+    d = cdf.shape[-1]
+    flat = cdf.ravel()
+    row = states * d
+    base = row.copy()
+    span = d - 1  # the last entry is 1 and never counts
+    while span > 1:
+        half = span // 2
+        base += (flat[base + half] <= u) * half
+        span -= half
+    base += flat[base] <= u
+    return base - row
+
+
+def _window_sums(generator, row_cdf, nu_cdf, f, n0: int, length: int, R: int) -> np.ndarray:
+    """Each replication's sum of f over its window, drawn batch by batch.
+
+    Row-major draws, so consecutive batches of whole rows equal the single
+    (R, length) block; one transpose per batch makes each time step a
+    contiguous column.
+    """
+    batch = min(R, max(1, _BATCH_ELEMS // length))
+    block = np.empty((batch, length))
+    columns = np.empty((length, batch))
+    window_sums = np.zeros(R)
+    for lo in range(0, R, batch):
+        sums = window_sums[lo : lo + batch]
+        count = sums.size
+        generator.random(out=block[:count])
+        u = columns[:, :count]
+        u[...] = block[:count].T
+        states = _step(u[0], nu_cdf, np.zeros(count, dtype=np.intp))
+        if n0 == 0:
+            sums += f[states]
+        for t in range(1, length):
+            states = _step(u[t], row_cdf, states)
+            if t >= n0:
+                sums += f[states]
+    return window_sums
 
 
 def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> EmpiricalErrorReport:
     """Empirical MSE of the burn-in estimator over R seeded replications.
 
-    All replications advance in lock-step, vectorized across the batch one
-    time step at a time; replication i consumes row i of the Philox uniform
-    block.  ``std_error`` is the sample standard deviation of the squared
-    errors divided by sqrt(R).
+    Replications advance in lock-step, a batch of whole rows of the Philox
+    uniform block at a time, vectorized across the batch one time step at a
+    time; replication i consumes row i.  ``std_error`` is the sample standard
+    deviation of the squared errors divided by sqrt(R).  Raises
+    :class:`BudgetOverflow` if one replication takes more than 2**27
+    uniforms.
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
@@ -93,27 +142,15 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     n, n0 = int(spec.n), int(spec.n0)
     length = spec.total
     R = int(config.replications)
-    if R * length > _BLOCK_ELEMS_CAP:
+    if length > _ROW_CAP:
         raise BudgetOverflow(
-            f"uniform block would hold {R * length} doubles, cap is {_BLOCK_ELEMS_CAP}"
+            f"one replication takes {length} uniforms, cap is {_ROW_CAP}"
         )
 
-    uniforms = np.random.Generator(np.random.Philox(key=int(config.seed))).random(
-        (R, length)
-    )
-    row_cdf = _cdf(chain.P)
-    nu_cdf = _cdf(nu)
-
-    # state of every replication after the first draw
-    states = _step(uniforms[:, 0], nu_cdf)
-    window_sums = f[states] if n0 == 0 else np.zeros(R)
-    for t in range(1, length):
-        states = _step(uniforms[:, t], row_cdf[states])
-        if t >= n0:
-            window_sums += f[states]
-
-    averages = window_sums / n
-    deviations = averages - mean_value(f, chain.pi)
+    generator = np.random.Generator(np.random.Philox(key=int(config.seed)))
+    deviations = _window_sums(generator, _cdf(chain.P), _cdf(nu), f, n0, length, R)
+    deviations /= n  # in place: window averages, then their deviations
+    deviations -= mean_value(f, chain.pi)
     squared = deviations * deviations
     return EmpiricalErrorReport(
         mse_hat=float(squared.mean()),

@@ -218,6 +218,16 @@ def worst_case_stationary(chain, n: int) -> float:
     return mc.worst_case_mse(int(n), mc.spectral_decompose(chain).beta1)
 
 
+def step_oracle(u, cdf_rows) -> np.ndarray:
+    """The sampler step by definition: count the CDF entries at or below u.
+
+    ``cdf_rows`` holds one saturated CDF row per uniform, or one row shared
+    by all; this R x d gather-compare-sum is what ``_step``'s bisection
+    must reproduce.
+    """
+    return (u[:, None] >= cdf_rows).sum(axis=1)
+
+
 def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     """Sample one trajectory of the given length, X_1 ~ nu.
 
@@ -231,8 +241,8 @@ def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
     u = rng_stream.random(int(length))
     row_cdf = _cdf(chain.P)
-    states = np.empty(int(length), dtype=np.intp)
-    states[:1] = _step(u[:1], _cdf(nu))
+    states = np.zeros(int(length), dtype=np.intp)
+    states[:1] = _step(u[:1], _cdf(nu), states[:1])
     for t in range(1, int(length)):
-        states[t : t + 1] = _step(u[t : t + 1], row_cdf[states[t - 1 : t]])
+        states[t : t + 1] = _step(u[t : t + 1], row_cdf, states[t - 1 : t])
     return states

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
+from mcmc_certify.chain import _MAX_STATES
 from mcmc_certify.errors import (
     NotErgodic,
     NotReversible,
     NotStochastic,
+    TooLarge,
     ZeroMass,
 )
 
@@ -24,6 +26,16 @@ from chain_strategies import (
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
+
+def test_size_cap_refuses_before_the_dense_copy():
+    # Neither input is materialized: one-entry rows, and a zero-stride view.
+    with pytest.raises(TooLarge, match=f"{_MAX_STATES + 1} rows"):
+        mc.build_chain([[1.0]] * (_MAX_STATES + 1))
+    huge = np.broadcast_to(0.0, (_MAX_STATES + 1, _MAX_STATES + 1))
+    with pytest.raises(TooLarge):
+        mc.as_transition_matrix(huge)
+    assert _MAX_STATES >= 4096  # far above the 600 states of the benchmark
+
 
 def test_rejects_row_sum_off():
     with pytest.raises(NotStochastic):

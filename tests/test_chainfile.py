@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import mcmc_certify as mc
-from mcmc_certify.errors import NotReversible
+from mcmc_certify.chain import _MAX_STATES
+from mcmc_certify.errors import NotReversible, TooLarge
 
 TWO_STATE = {
     "labels": ["a", "b"],
@@ -66,6 +67,19 @@ def test_vector_length_validation(tmp_path):
         mc.load_chain_file(write(tmp_path, dict(TWO_STATE, nu=[0.5, 0.3, 0.2])))
     with pytest.raises(ValueError, match='"f"'):
         mc.load_chain_file(write(tmp_path, dict(TWO_STATE, f=[1.0])))
+
+
+def test_vector_length_message_names_the_file(tmp_path):
+    path = write(tmp_path, dict(TWO_STATE, nu=[0.5, 0.3, 0.2]))
+    with pytest.raises(ValueError) as info:
+        mc.load_chain_file(path)
+    assert str(info.value) == f'{path}: "nu" has length 3, chain has 2 states'
+
+
+def test_size_cap_before_the_matrix_is_built(tmp_path):
+    path = write(tmp_path, {"P": [[1.0]] * (_MAX_STATES + 1)})
+    with pytest.raises(TooLarge, match=r'"P" has \d+ rows'):
+        mc.load_chain_file(path)
 
 
 def test_malformed_json_is_value_error(tmp_path):
