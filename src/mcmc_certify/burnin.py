@@ -19,7 +19,17 @@ integer *optimized* argmin over all feasible splits, and the estimate-free
 *half budget* rule ``n0 = N//2`` whose asymptotic price is a factor sqrt(2).
 Both squared bounds are convex in ``n0`` for fixed ``N``, so the optimized
 split is found by a ternary search in O(log N) bound evaluations, finished
-by an exact pass over a window of at most 257 splits.
+by an exact pass over a window of at most 257 splits.  The search runs on
+Python floats with ``math`` (each round is two scalar evaluations, where
+numpy would pay its per-call overhead on 2-element arrays); only the final
+window is evaluated as an array.
+
+The suggested burn-in is settled in float64 wherever float64 can settle it:
+the ratio ``log C / log(1/beta)`` is within a few ulp of its exact value,
+so its ceiling is final when the ratio lies more than ``1e-12`` (relative)
+from both neighbouring integers.  Only near an integer does
+``suggested_burnin`` fall back to the 50-digit evaluation of
+``suggested_burnin_detail``, the one use of mpmath.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ __all__ = [
 BOUND_KINDS = ("b4", "binf")
 
 _LOG_FLOOR = math.log(POWER_FLOOR)
+_LOG2 = math.log(2.0)
 _EXP_OVERFLOW = 709.0
 # float64 holds every integer up to 2**53 exactly; beyond it the window
 # lengths float(N - n0) of neighbouring splits can coincide.
@@ -58,6 +69,9 @@ _MAX_BUDGET = 2**53
 # and the exact window adds _MARGIN splits on each side of it.
 _BRACKET = 128
 _MARGIN = 64
+# suggested_burnin: a float64 ratio further than this (relative) from every
+# integer has a settled ceiling; nearer ones take the 50-digit route.
+_CEIL_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,19 +126,23 @@ class BurninSuggestion:
     borderline: bool
 
 
-def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
-    """Evaluate ``max(ceil(log C / log(1/beta)), 0)`` at 50-digit precision.
-
-    Float64 cannot settle which side of an integer the ratio falls on when
-    ``beta`` is close to 1 (the quotient amplifies the last-ulp error of
-    ``log(beta)`` by ~1/(1-beta)), hence the high-precision evaluation.
-    For ``C <= 1`` the ratio is not positive, so the clamp at 0 settles the
-    outcome and ``borderline`` stays False.
-    """
+def _check_suggestion_args(beta: float, C: float) -> None:
     if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     if not (isinstance(C, (int, float)) and math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a positive finite number, got {C!r}")
+
+
+def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
+    """Evaluate ``max(ceil(log C / log(1/beta)), 0)`` at 50-digit precision.
+
+    The float64 ratio is a few ulp off, which cannot settle the ceiling
+    when the exact ratio is an integer or within a few ulp of one, and
+    ``ratio`` is reported correctly rounded; hence the high-precision
+    evaluation.  For ``C <= 1`` the ratio is not positive, so the clamp at
+    0 settles the outcome and ``borderline`` stays False.
+    """
+    _check_suggestion_args(beta, C)
     # Imported here, its only runtime use, to keep mpmath off the import path.
     import mpmath as mp
 
@@ -136,27 +154,44 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
 
 
 def suggested_burnin(beta: float, C: float) -> int:
-    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``."""
+    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``.
+
+    Equal to ``suggested_burnin_detail(beta, C).n0``.  libm's ``log`` is
+    within 1 ulp, so the float64 ratio is within a few ulp of the exact one;
+    its ceiling is returned unless the ratio lies within ``_CEIL_MARGIN``
+    (relative) of an integer, where the 50-digit route decides.
+    """
+    _check_suggestion_args(beta, C)
+    if C <= 1.0:
+        return 0
+    ratio = math.log(C) / -math.log(beta)
+    n0 = math.ceil(ratio)
+    slack = _CEIL_MARGIN * ratio
+    if n0 - ratio > slack and ratio - (n0 - 1) > slack:
+        return n0
     return suggested_burnin_detail(beta, C).n0
+
+
+def _log_k(beta: float, kind: str) -> float:
+    """Log of the correction's constant factor (``C``, ``beta^n0``, ``n^2`` aside)."""
+    one_minus = 1.0 - beta
+    if kind == "binf":
+        return _LOG2 - 2.0 * math.log(one_minus)
+    # 1 - sqrt(beta) computed as (1-beta)/(1+sqrt(beta)) to avoid cancellation
+    one_minus_root = one_minus / (1.0 + math.sqrt(beta))
+    return -math.log(one_minus) - math.log(one_minus_root)
 
 
 def _bound_terms(
     n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The leading term and the log of the correction term, before any clamp."""
-    one_minus = 1.0 - beta
-    lead = 2.0 / (n * one_minus)
-    if kind == "binf":
-        log_k = math.log(2.0) - 2.0 * math.log(one_minus)
-    else:
-        # 1 - sqrt(beta) computed as (1-beta)/(1+sqrt(beta)) to avoid cancellation
-        one_minus_root = one_minus / (1.0 + math.sqrt(beta))
-        log_k = -math.log(one_minus) - math.log(one_minus_root)
+    lead = 2.0 / (n * (1.0 - beta))
     if beta > 0.0:
         damp = np.maximum(n0 * math.log(beta), _LOG_FLOOR)
     else:
         damp = np.where(n0 == 0, 0.0, _LOG_FLOOR)
-    return lead, math.log(C) + damp + log_k - 2 * np.log(n)
+    return lead, math.log(C) + damp + _log_k(beta, kind) - 2 * np.log(n)
 
 
 def _squared_bounds(
@@ -204,23 +239,43 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     tell the sides apart.  The squared bounds are then evaluated on the
     bracket widened by ``_MARGIN`` splits on each side.  Rounding lets
     splits near the minimum tie with it, over a band that widens like
-    ``sqrt(n / |log beta|)`` (about 20 splits at N = 2e8); the window holds
-    that band, so the result is the full scan's, bit for bit.  Ties resolve
-    to the smallest burn-in, and an all-``inf`` window gives ``n0 = 0``.
-    O(log N) work.
+    ``sqrt(n / |log beta|)`` (about 20 splits at N = 2e8); while the window
+    holds that band, the result is the full scan's, bit for bit.  The tests
+    check that equality for N up to 1e7 (random queries up to 2e5).  From
+    about N = 1e11 the splits that tie with the minimum can spread over
+    more than the window, so the split returned is one whose bound is
+    within rounding of the minimum (within 1.1e-15 relative of the minimum
+    over 2e6 splits either side, measured up to N = 1e15), not necessarily
+    the scan's.  Ties resolve to the smallest burn-in in the window, and an
+    all-``inf`` window gives ``n0 = 0``.  O(log N) work.
     """
     _check_kind(kind)
     N, beta, C = query.N, query.beta, query.C
+    one_minus = 1.0 - beta
+    log_beta = math.log(beta) if beta > 0.0 else 0.0
+    log_c, log_k = math.log(C), _log_k(beta, kind)
+
+    def surrogate(n0: int) -> float:
+        # _bound_terms' operations in its order, then np.logaddexp's formula.
+        n = float(N - n0)
+        x = math.log(2.0 / (n * one_minus))
+        if beta > 0.0:
+            damp = max(n0 * log_beta, _LOG_FLOOR)
+        else:
+            damp = 0.0 if n0 == 0 else _LOG_FLOOR
+        y = log_c + damp + log_k - 2 * math.log(n)
+        if x == y:
+            return x + _LOG2
+        return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+
     lo, hi = 0, N - 1
     while hi - lo > _BRACKET:
         third = (hi - lo) // 3
-        probe = np.array([lo + third, hi - third], dtype=np.int64)
-        lead, log_corr = _bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
-        left, right = np.logaddexp(np.log(lead), log_corr)
-        if left <= right:
-            hi = int(probe[1])
+        left, right = lo + third, hi - third
+        if surrogate(left) <= surrogate(right):
+            hi = right
         else:
-            lo = int(probe[0])
+            lo = left
     start = max(lo - _MARGIN, 0)
     n0s = np.arange(start, min(hi + _MARGIN, N - 1) + 1, dtype=np.int64)
     sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)

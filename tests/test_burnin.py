@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mcmc_certify as mc
 from mcmc_certify import cli
-from mcmc_certify.burnin import _budget_grid, _squared_bounds
+from mcmc_certify.burnin import _BRACKET, _MARGIN, _bound_terms, _budget_grid, _squared_bounds
 
 _SCAN_CHUNK = 4_000_000
 
@@ -37,6 +37,31 @@ def scan_optimize_burnin(query, kind):
         bound_value=math.sqrt(best_sq),
         strategy="optimized",
     )
+
+
+def array_optimize_burnin(query, kind):
+    """Oracle: the ternary search evaluated with numpy on 2-element arrays.
+
+    Each round evaluates both probes through ``_bound_terms`` and compares
+    ``np.logaddexp(np.log(lead), log_corr)``; the window pass is the same.
+    """
+    N, beta, C = query.N, query.beta, query.C
+    lo, hi = 0, N - 1
+    while hi - lo > _BRACKET:
+        third = (hi - lo) // 3
+        probe = np.array([lo + third, hi - third], dtype=np.int64)
+        lead, log_corr = _bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
+        left, right = np.logaddexp(np.log(lead), log_corr)
+        if left <= right:
+            hi = int(probe[1])
+        else:
+            lo = int(probe[0])
+    start = max(lo - _MARGIN, 0)
+    n0s = np.arange(start, min(hi + _MARGIN, N - 1) + 1, dtype=np.int64)
+    sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
+    i = int(np.argmin(sq))
+    best_n0 = start + i if math.isfinite(sq[i]) else 0
+    return best_n0, math.sqrt(float(sq[i]))
 
 
 def assert_matches_scan(query, kind):
@@ -152,6 +177,44 @@ def test_suggested_burnin_sandwich(beta, C):
     assert n0 <= ratio + 1.0 + 1e-6
 
 
+_BETAS_NEAR_ONE = (
+    st.floats(min_value=-12.0, max_value=0.0)
+    .map(lambda u: 1.0 - 10.0**u)
+    .filter(lambda beta: beta > 0.0)
+)
+
+
+def assert_suggestion_matches_50_digits(beta, C):
+    assert mc.suggested_burnin(beta, C) == mc.suggested_burnin_detail(beta, C).n0, (beta, C)
+
+
+@given(beta=_BETAS_NEAR_ONE, log10_C=st.floats(min_value=-5.0, max_value=308.0))
+@settings(max_examples=300)
+def test_suggested_burnin_float64_matches_50_digits(beta, log10_C):
+    assert_suggestion_matches_50_digits(beta, 10.0**log10_C)
+
+
+def test_suggested_burnin_exact_integer_ratios():
+    # log(2^k) / log 2 = k exactly; float64 rounds the ratio either side of k.
+    for k in range(1, 1024):
+        assert_suggestion_matches_50_digits(0.5, 2.0**k)
+
+
+@given(
+    beta=_BETAS_NEAR_ONE,
+    t=st.floats(min_value=0.0, max_value=1.0),
+    step=st.sampled_from([-1.0, 0.0, 1.0]),
+)
+@settings(max_examples=300)
+def test_suggested_burnin_near_integer_ratios(beta, t, step):
+    """C = beta^-k and its float neighbours put the ratio within ulps of k."""
+    k = max(1, int(t * 700.0 / -math.log(beta)))
+    C = beta**-k
+    if step:
+        C = math.nextafter(C, step * math.inf)
+    assert_suggestion_matches_50_digits(beta, C)
+
+
 # ---------------------------------------------------------------------------
 # Exact optimization and the published splits
 # ---------------------------------------------------------------------------
@@ -219,6 +282,26 @@ def test_optimize_matches_scan_oracle(N, beta, log10_C):
     query = mc.BudgetQuery(N=N, beta=beta, C=10.0**log10_C)
     for kind in mc.BOUND_KINDS:
         assert_matches_scan(query, kind)
+
+
+@given(
+    log10_N=st.floats(min_value=math.log10(2.0), max_value=12.0),
+    beta=_BETAS,
+    log10_C=st.floats(min_value=-5.0, max_value=308.0),
+)
+@settings(max_examples=300)
+def test_optimize_matches_array_search_oracle(log10_N, beta, log10_C):
+    """The scalar search takes the array search's decisions, N up to 1e12.
+
+    libm's ``log`` and numpy's SIMD ``log`` can differ by an ulp, which
+    flips a comparison only between probes that tie within rounding: 3 of
+    40,000 random queries with N in [1e11, 1e12] moved that way, each to a
+    bound 1-2 ulp lower.
+    """
+    query = mc.BudgetQuery(N=max(2, int(10.0**log10_N)), beta=beta, C=10.0**log10_C)
+    for kind in mc.BOUND_KINDS:
+        plan = mc.optimize_burnin(query, kind)
+        assert (plan.n0, plan.bound_value) == array_optimize_burnin(query, kind), (query, kind)
 
 
 @pytest.mark.parametrize("kind", mc.BOUND_KINDS)

@@ -280,6 +280,32 @@ def test_module_entry_point_runs(tmp_path, package_env):
     assert (out / "table1.csv").read_text() == GOLDEN_TABLE1
 
 
+def test_package_entry_point_runs(package_env):
+    """``python -m mcmc_certify`` runs the CLI."""
+    run = subprocess.run(
+        [sys.executable, "-m", "mcmc_certify", "--help"],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "reproduce" in run.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--target", "table1"],
+        ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "optimize"],
+        ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "half"],
+    ],
+)
+def test_common_path_runs_without_mpmath(argv, monkeypatch, tmp_path):
+    """mpmath is needed only near an integer ceiling; these never get there."""
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    if argv[0] == "reproduce":
+        argv = argv + ["--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+
 def test_reproduce_figure2_schema(capsys, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["reproduce", "--target", "figure2", "--out", str(out)]) == 0
