@@ -18,18 +18,18 @@ Three strategies are provided: a closed-form *suggested* burn-in
 integer *optimized* argmin over all feasible splits, and the estimate-free
 *half budget* rule ``n0 = N//2`` whose asymptotic price is a factor sqrt(2).
 Both squared bounds are convex in ``n0`` for fixed ``N``, so the optimized
-split is found by a ternary search in O(log N) bound evaluations, finished
-by an exact pass over a window of at most 257 splits.  The search runs on
-Python floats with ``math`` (each round is two scalar evaluations, where
-numpy would pay its per-call overhead on 2-element arrays); only the final
-window is evaluated as an array.
+split is found by a golden-section search in O(log N) bound evaluations,
+finished by an exact pass over a window of at most 257 splits.  The search
+and ``bound_function`` run on Python floats, where numpy would pay its
+per-call overhead on 1- or 2-element arrays.
 
 The suggested burn-in is settled in float64 wherever float64 can settle it:
 the ratio ``log C / log(1/beta)`` is within a few ulp of its exact value,
 so its ceiling is final when the ratio lies more than ``1e-12`` (relative)
-from both neighbouring integers.  Only near an integer does
-``suggested_burnin`` fall back to the 50-digit evaluation of
-``suggested_burnin_detail``, the one use of mpmath.
+from both neighbouring integers, and so is its ``borderline`` flag unless
+the ratio lies that near ``1e-9`` from an integer.  Only otherwise does
+``_suggestion`` fall back to the 50-digit ``suggested_burnin_detail``, the
+one use of mpmath.
 """
 
 from __future__ import annotations
@@ -65,13 +65,15 @@ _EXP_OVERFLOW = 709.0
 # float64 holds every integer up to 2**53 exactly; beyond it the window
 # lengths float(N - n0) of neighbouring splits can coincide.
 _MAX_BUDGET = 2**53
-# optimize_burnin: the ternary search stops at a bracket of _BRACKET splits,
-# and the exact window adds _MARGIN splits on each side of it.
+# optimize_burnin: the golden-section search stops at a bracket of _BRACKET
+# splits, and the exact window adds _MARGIN splits on each side of it.
 _BRACKET = 128
 _MARGIN = 64
-# suggested_burnin: a float64 ratio further than this (relative) from every
-# integer has a settled ceiling; nearer ones take the 50-digit route.
+_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
+# _suggestion: a float64 ratio further than this (relative) from every
+# integer, and from the band edge _BORDERLINE, settles n0 and borderline.
 _CEIL_MARGIN = 1e-12
+_BORDERLINE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,22 +156,26 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
 
 
 def suggested_burnin(beta: float, C: float) -> int:
-    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``.
+    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``; see ``_suggestion``."""
+    return _suggestion(beta, C)[0]
 
-    Equal to ``suggested_burnin_detail(beta, C).n0``.  libm's ``log`` is
-    within 1 ulp, so the float64 ratio is within a few ulp of the exact one;
-    its ceiling is returned unless the ratio lies within ``_CEIL_MARGIN``
-    (relative) of an integer, where the 50-digit route decides.
+
+def _suggestion(beta: float, C: float) -> tuple[int, bool]:
+    """``n0`` and ``borderline`` of ``suggested_burnin_detail(beta, C)``.
+
+    libm's ``log`` is within 1 ulp, so the float64 ratio is within a few ulp
+    of the exact one.  It settles both unless its distance to the nearest
+    integer lies within ``_CEIL_MARGIN`` (relative) of 0 or ``_BORDERLINE``.
     """
     _check_suggestion_args(beta, C)
     if C <= 1.0:
-        return 0
+        return 0, False
     ratio = math.log(C) / -math.log(beta)
-    n0 = math.ceil(ratio)
-    slack = _CEIL_MARGIN * ratio
-    if n0 - ratio > slack and ratio - (n0 - 1) > slack:
-        return n0
-    return suggested_burnin_detail(beta, C).n0
+    distance, slack = abs(ratio - round(ratio)), _CEIL_MARGIN * ratio
+    if distance > slack and abs(distance - _BORDERLINE) > slack:
+        return math.ceil(ratio), distance < _BORDERLINE
+    detail = suggested_burnin_detail(beta, C)
+    return detail.n0, detail.borderline
 
 
 def _log_k(beta: float, kind: str) -> float:
@@ -180,6 +186,13 @@ def _log_k(beta: float, kind: str) -> float:
     # 1 - sqrt(beta) computed as (1-beta)/(1+sqrt(beta)) to avoid cancellation
     one_minus_root = one_minus / (1.0 + math.sqrt(beta))
     return -math.log(one_minus) - math.log(one_minus_root)
+
+
+def _log_damp(n0: int, beta: float, log_beta: float) -> float:
+    """Log of ``max(beta^n0, POWER_FLOOR)`` on one split, as ``_bound_terms`` forms it."""
+    if beta > 0.0:
+        return max(n0 * log_beta, _LOG_FLOOR)
+    return 0.0 if n0 == 0 else _LOG_FLOOR
 
 
 def _bound_terms(
@@ -223,31 +236,37 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
         raise ValueError(f"window length n must be a positive integer, got {n!r}")
     if not isinstance(n0, (int, np.integer)) or n0 < 0:
         raise ValueError(f"burn-in n0 must be a nonnegative integer, got {n0!r}")
-    n_arr, n0_arr = np.array([float(n)]), np.array([int(n0)], dtype=np.int64)
-    return float(np.sqrt(_squared_bounds(n_arr, n0_arr, query.beta, query.C, kind)[0]))
+    # _squared_bounds' steps on one split.  log n and exp stay numpy's, as
+    # libm's can differ by an ulp; the other steps round alike in both.
+    beta, n = query.beta, float(n)
+    damp = _log_damp(int(n0), beta, math.log(beta) if beta > 0.0 else 0.0)
+    log_corr = math.log(query.C) + damp + _log_k(beta, kind) - 2 * float(np.log(n))
+    corr = math.inf if log_corr > _EXP_OVERFLOW else float(np.exp(log_corr))
+    return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
 
 
 def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     """Exact integer argmin of the bound over all splits ``n0 in [0, N-1]``.
 
     The squared bound is convex in ``n0``: ``1/(N-n0)`` is convex and
-    ``max(beta^n0, floor)/(N-n0)^2`` is log-convex.  A ternary search
-    (Kiefer, Proc. AMS 4, 1953) narrows ``[0, N-1]`` to a bracket of at most
-    ``_BRACKET`` splits.  It compares the finite surrogate
-    ``logaddexp(log lead, log corr)``; the squared values would not do, as
-    they saturate to ``inf`` at one or both ends, where no comparison can
-    tell the sides apart.  The squared bounds are then evaluated on the
-    bracket widened by ``_MARGIN`` splits on each side.  Rounding lets
-    splits near the minimum tie with it, over a band that widens like
-    ``sqrt(n / |log beta|)`` (about 20 splits at N = 2e8); while the window
-    holds that band, the result is the full scan's, bit for bit.  The tests
-    check that equality for N up to 1e7 (random queries up to 2e5).  From
-    about N = 1e11 the splits that tie with the minimum can spread over
-    more than the window, so the split returned is one whose bound is
-    within rounding of the minimum (within 1.1e-15 relative of the minimum
-    over 2e6 splits either side, measured up to N = 1e15), not necessarily
-    the scan's.  Ties resolve to the smallest burn-in in the window, and an
-    all-``inf`` window gives ``n0 = 0``.  O(log N) work.
+    ``max(beta^n0, floor)/(N-n0)^2`` is log-convex.  A golden-section
+    search (the Fibonacci search of Kiefer, Proc. AMS 4, 1953) narrows
+    ``[0, N-1]`` to a bracket of at most ``_BRACKET`` splits.  Each round
+    reuses one probe, evaluates one more and keeps 0.618 of the bracket: at
+    most ``2 + ceil(log_phi((N-1)/_BRACKET))`` evaluations (22 at N = 2e6).
+    It compares the finite surrogate ``logaddexp(log lead, log corr)``; the
+    squared values saturate to ``inf`` at one or both ends, where no
+    comparison can tell the sides apart.  The squared bounds are then
+    evaluated on the bracket widened by ``_MARGIN`` splits on each side.
+    Rounding lets splits near the minimum tie with it, over a band that
+    widens like ``sqrt(n / |log beta|)``; while the window holds that band,
+    the result is the full scan's, bit for bit (tested for N up to 1e7).
+    From about N = 1e9 the band can outgrow the window.  The bound returned
+    was then within 3e-15 relative of the minimum over 2e5 splits either
+    side, or 6e-14 where the correction is most of the bound (the
+    surrogate's rounding is absolute), on 3000 random queries up to 9e15.
+    Ties resolve to the smallest burn-in in the window, and an all-``inf``
+    window gives ``n0 = 0``.  O(log N) work.
     """
     _check_kind(kind)
     N, beta, C = query.N, query.beta, query.C
@@ -259,34 +278,30 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
         # _bound_terms' operations in its order, then np.logaddexp's formula.
         n = float(N - n0)
         x = math.log(2.0 / (n * one_minus))
-        if beta > 0.0:
-            damp = max(n0 * log_beta, _LOG_FLOOR)
-        else:
-            damp = 0.0 if n0 == 0 else _LOG_FLOOR
-        y = log_c + damp + log_k - 2 * math.log(n)
+        y = log_c + _log_damp(n0, beta, log_beta) + log_k - 2 * math.log(n)
         if x == y:
             return x + _LOG2
         return max(x, y) + math.log1p(math.exp(-abs(x - y)))
 
+    # [lo, hi] keeps the better probe p of the last round (the left one on a
+    # tie, so f(left) <= f(right) keeps [lo, right]).  q cuts p's longer side
+    # at the golden ratio (int() rounds towards p): p and q never meet, and
+    # rounding drift cannot build up.
     lo, hi = 0, N - 1
+    p = round((1.0 - _GOLDEN_CUT) * hi)
+    fp = surrogate(p)
     while hi - lo > _BRACKET:
-        third = (hi - lo) // 3
-        left, right = lo + third, hi - third
-        if surrogate(left) <= surrogate(right):
-            hi = right
-        else:
-            lo = left
+        q = p + int(_GOLDEN_CUT * ((lo if p - lo > hi - p else hi) - p))
+        fq = surrogate(q)
+        if fq < fp or (fq == fp and q < p):
+            p, q, fp = q, p, fq
+        lo, hi = (lo, q) if q > p else (q, hi)
     start = max(lo - _MARGIN, 0)
     n0s = np.arange(start, min(hi + _MARGIN, N - 1) + 1, dtype=np.int64)
     sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
     i = int(np.argmin(sq))
-    best_n0 = start + i if math.isfinite(sq[i]) else 0
-    return BurninPlan(
-        n0=best_n0,
-        n=N - best_n0,
-        bound_value=math.sqrt(float(sq[i])),
-        strategy="optimized",
-    )
+    best_n0, value = start + i if math.isfinite(sq[i]) else 0, math.sqrt(float(sq[i]))
+    return BurninPlan(n0=best_n0, n=N - best_n0, bound_value=value, strategy="optimized")
 
 
 def suggested_plan(query: BudgetQuery, kind: str) -> BurninPlan:

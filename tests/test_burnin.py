@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 import mcmc_certify as mc
 from mcmc_certify import cli
-from mcmc_certify.burnin import _BRACKET, _MARGIN, _bound_terms, _budget_grid, _squared_bounds
+from mcmc_certify import burnin
+from mcmc_certify.burnin import (
+    _BORDERLINE,
+    _BRACKET,
+    _GOLDEN_CUT,
+    _MARGIN,
+    _bound_terms,
+    _budget_grid,
+    _squared_bounds,
+    _suggestion,
+)
 
 _SCAN_CHUNK = 4_000_000
 
@@ -40,22 +50,28 @@ def scan_optimize_burnin(query, kind):
 
 
 def array_optimize_burnin(query, kind):
-    """Oracle: the ternary search evaluated with numpy on 2-element arrays.
+    """Oracle: the golden-section search evaluated with numpy on 2-element arrays.
 
-    Each round evaluates both probes through ``_bound_terms`` and compares
+    Each round places the same probes as ``optimize_burnin`` (the kept probe
+    p, and q cutting p's longer side at the golden ratio), evaluates both
+    afresh through ``_bound_terms`` and compares
     ``np.logaddexp(np.log(lead), log_corr)``; the window pass is the same.
     """
     N, beta, C = query.N, query.beta, query.C
     lo, hi = 0, N - 1
+    p = round((1.0 - _GOLDEN_CUT) * hi)
     while hi - lo > _BRACKET:
-        third = (hi - lo) // 3
-        probe = np.array([lo + third, hi - third], dtype=np.int64)
+        if p - lo > hi - p:
+            q = p - int(_GOLDEN_CUT * (p - lo))
+        else:
+            q = p + int(_GOLDEN_CUT * (hi - p))
+        probe = np.array(sorted((p, q)), dtype=np.int64)
         lead, log_corr = _bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
         left, right = np.logaddexp(np.log(lead), log_corr)
         if left <= right:
-            hi = int(probe[1])
+            hi, p = int(probe[1]), int(probe[0])
         else:
-            lo = int(probe[0])
+            lo, p = int(probe[0]), int(probe[1])
     start = max(lo - _MARGIN, 0)
     n0s = np.arange(start, min(hi + _MARGIN, N - 1) + 1, dtype=np.int64)
     sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
@@ -132,6 +148,68 @@ def test_bound_function_huge_constant_overflows_to_inf():
     assert math.isinf(mc.bound_function(tiny, 2, 2, "binf"))
 
 
+def assert_bound_function_matches_array_route(query, n0, kind):
+    """``bound_function`` is ``_squared_bounds`` on a 1-element array, bit for bit."""
+    n = query.N - n0
+    sq = _squared_bounds(np.array([float(n)]), np.array([n0], dtype=np.int64),
+                         query.beta, query.C, kind)
+    got = mc.bound_function(query, n, n0, kind)
+    want = math.sqrt(float(sq[0]))
+    assert got == want, (query, n0, kind, got, want)
+    return got
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+@pytest.mark.parametrize(
+    "N, beta, C, n0",
+    [
+        (1000, 0.0, 10.0, 0),               # beta = 0: no damping at n0 = 0 ...
+        (1000, 0.0, 1e300, 1),              # ... and the floor from n0 = 1
+        (1000, 1.0 - 1e-12, 1e30, 0),
+        (2**53, 1.0 - 1e-12, 1e-5, 2**52),
+        (2**53, 0.5, 10.0, 0),
+        (2**53, 0.999, 1e30, 2**53 - 1),
+        (2**53, 0.999, 1e30, 12345),
+    ],
+)
+def test_bound_function_matches_array_route_at_the_edges(N, beta, C, n0, kind):
+    assert_bound_function_matches_array_route(mc.BudgetQuery(N=N, beta=beta, C=C), n0, kind)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+def test_bound_function_matches_array_route_on_floor_and_overflow(kind):
+    deep = mc.BudgetQuery(N=2_000_000, beta=0.5, C=1e30)
+    assert 1_500_000 * math.log(0.5) < math.log(mc.POWER_FLOOR)
+    assert math.isfinite(assert_bound_function_matches_array_route(deep, 1_500_000, kind))
+    # n = 2: log C - 2 log n + log k lies above 709, so the bound is inf.
+    tiny = mc.BudgetQuery(N=4, beta=0.9999999, C=1e308)
+    assert math.isinf(assert_bound_function_matches_array_route(tiny, 2, kind))
+
+
+def test_bound_function_takes_numpy_log_where_libm_differs():
+    """libm's log and numpy's SIMD log differ by an ulp on a few n (9170 and
+    19143 on AVX-512 builds); the scalar route must round as the array does."""
+    n = np.arange(1.0, 200_001.0)
+    differ = n[np.log(n) != np.array([math.log(x) for x in n])].astype(int)
+    for window in [9170, 19143, *differ[:20]]:
+        for C in (1.0, 1e3, 1e30):
+            query = mc.BudgetQuery(N=int(window), beta=0.5, C=C)
+            for kind in mc.BOUND_KINDS:
+                assert_bound_function_matches_array_route(query, 0, kind)
+
+
+def test_bound_function_matches_array_route_on_random_queries():
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        N = int(min(2.0**53, 10.0 ** rng.uniform(0.31, 16.0)))
+        beta = 0.0 if rng.uniform() < 0.05 else float(1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        C = float(10.0 ** rng.uniform(-5.0, 308.0))
+        query = mc.BudgetQuery(N=N, beta=beta, C=C)
+        n0 = int(rng.integers(0, query.N))
+        for kind in mc.BOUND_KINDS:
+            assert_bound_function_matches_array_route(query, n0, kind)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form suggestion
 # ---------------------------------------------------------------------------
@@ -185,7 +263,10 @@ _BETAS_NEAR_ONE = (
 
 
 def assert_suggestion_matches_50_digits(beta, C):
-    assert mc.suggested_burnin(beta, C) == mc.suggested_burnin_detail(beta, C).n0, (beta, C)
+    """The float64 ceiling and ``borderline`` flag equal the 50-digit ones."""
+    detail = mc.suggested_burnin_detail(beta, C)
+    assert mc.suggested_burnin(beta, C) == detail.n0, (beta, C)
+    assert _suggestion(beta, C) == (detail.n0, detail.borderline), (beta, C)
 
 
 @given(beta=_BETAS_NEAR_ONE, log10_C=st.floats(min_value=-5.0, max_value=308.0))
@@ -213,6 +294,25 @@ def test_suggested_burnin_near_integer_ratios(beta, t, step):
     if step:
         C = math.nextafter(C, step * math.inf)
     assert_suggestion_matches_50_digits(beta, C)
+
+
+@given(
+    beta=st.floats(min_value=0.01, max_value=0.99),
+    log10_k=st.floats(min_value=0.0, max_value=3.0),
+    offset=st.sampled_from([-1.0, 1.0]),
+    log10_gap=st.floats(min_value=-6.0, max_value=-0.5),
+    inside=st.booleans(),
+)
+@settings(max_examples=300)
+def test_borderline_flag_at_the_band_edge(beta, log10_k, offset, log10_gap, inside):
+    """Ratios k +- 1e-9 (1 -+ gap): just inside or just outside the band.
+
+    beta stays away from 1, where C's own rounding would move the ratio by
+    more than the gap.
+    """
+    k = min(round(10.0**log10_k), int(700.0 / -math.log(beta)))
+    edge = _BORDERLINE * (1.0 - 10.0**log10_gap if inside else 1.0 + 10.0**log10_gap)
+    assert_suggestion_matches_50_digits(beta, math.exp((k + offset * edge) * -math.log(beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +382,42 @@ def test_optimize_matches_scan_oracle(N, beta, log10_C):
     query = mc.BudgetQuery(N=N, beta=beta, C=10.0**log10_C)
     for kind in mc.BOUND_KINDS:
         assert_matches_scan(query, kind)
+
+
+class _CountingMath:
+    """Stands in for ``burnin``'s ``math`` and counts its ``log`` calls."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+@pytest.mark.parametrize("N", [10**3, 10**6, 10**9, 2**53])
+def test_optimize_evaluation_count(N, kind, monkeypatch):
+    """One surrogate evaluation per golden-section round, plus the first probe.
+
+    Each evaluation takes two logs.  N = 2 evaluates the first probe only,
+    so the difference in logs counts the evaluations after it.  The ternary
+    search took two evaluations per round of 2/3: about twice this bound.
+    """
+    counter = _CountingMath()
+    monkeypatch.setattr(burnin, "math", counter)
+
+    def logs(n):
+        counter.logs = 0
+        mc.optimize_burnin(mc.BudgetQuery(N=n, beta=0.999, C=1e30), kind)
+        return counter.logs
+
+    evaluations = 1 + (logs(N) - logs(2)) // 2
+    rounds = math.log((N - 1) / _BRACKET, (1.0 + math.sqrt(5.0)) / 2.0)
+    assert rounds <= evaluations <= 2 + math.ceil(rounds)
 
 
 @given(

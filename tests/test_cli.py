@@ -296,10 +296,12 @@ def test_package_entry_point_runs(package_env):
         ["reproduce", "--target", "table1"],
         ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "optimize"],
         ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "half"],
+        ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "suggested"],
     ],
 )
 def test_common_path_runs_without_mpmath(argv, monkeypatch, tmp_path):
-    """mpmath is needed only near an integer ceiling; these never get there."""
+    """mpmath is needed only near an integer ceiling or the borderline band's
+    edge; these never get there."""
     monkeypatch.setitem(sys.modules, "mpmath", None)
     if argv[0] == "reproduce":
         argv = argv + ["--out", str(tmp_path)]
