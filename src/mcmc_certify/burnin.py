@@ -14,27 +14,22 @@ fourth-moment route).  The correction decays one power of n faster than the
 leading term, matching the closed-form error bounds.
 
 Three strategies are provided: a closed-form *suggested* burn-in
-``ceil(log C / log(1/beta))`` (which makes ``C beta^n0 <= 1``), the exact
-integer *optimized* argmin over all feasible splits, and the estimate-free
-*half budget* rule ``n0 = N//2`` whose asymptotic price is a factor sqrt(2).
-Both squared bounds are convex in ``n0`` for fixed ``N``, so the optimized
-split is found by a golden-section search in O(log N) bound evaluations,
-finished by an exact pass over a window of at most 257 splits.  The search
-and ``bound_function`` run on Python floats, where numpy would pay its
-per-call overhead on 1- or 2-element arrays.
-
-The suggested burn-in is settled in float64 wherever float64 can settle it:
-the ratio ``log C / log(1/beta)`` is within a few ulp of its exact value,
-so its ceiling is final when the ratio lies more than ``1e-12`` (relative)
-from both neighbouring integers, and so is its ``borderline`` flag unless
-the ratio lies that near ``1e-9`` from an integer.  Only otherwise does
-``_suggestion`` fall back to the 50-digit ``suggested_burnin_detail``, the
-one use of mpmath.
+``ceil(log C / log(1/beta))`` (the smallest ``n0`` with ``C beta^n0 <= 1``;
+float64 settles it away from integer ratios, integer arithmetic near them),
+the *optimized* integer argmin over all feasible splits (the full scan's
+while rounding ties fit its window, see ``optimize_burnin``), and the
+estimate-free *half budget* rule ``n0 = N//2`` whose asymptotic price is a
+factor sqrt(2).  Both squared bounds are convex in ``n0`` for fixed ``N``, so
+the optimized split is found by a golden-section search in O(log N) bound
+evaluations, finished by a pass over a window of at most 257 splits.  The
+search and ``bound_function`` run on Python floats, where numpy would pay
+its per-call overhead on 1- or 2-element arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +65,11 @@ _MAX_BUDGET = 2**53
 _BRACKET = 128
 _MARGIN = 64
 _GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
-# _suggestion: a float64 ratio further than this (relative) from every
-# integer, and from the band edge _BORDERLINE, settles n0 and borderline.
+# suggested_burnin: a float64 ratio further than this (relative) from every
+# integer settles n0.  _log_fixed: fraction bits, and log 2 rounded down.
 _CEIL_MARGIN = 1e-12
-_BORDERLINE = 1e-9
+_FIXED_BITS = 192
+_LOG2_FIXED = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,7 @@ class BudgetQuery:
             )
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
-        if not (isinstance(self.C, (int, float)) and math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"C must be a positive finite number, got {self.C!r}")
+        _check_constant(self.C)
 
 
 @dataclass(frozen=True)
@@ -128,54 +123,64 @@ class BurninSuggestion:
     borderline: bool
 
 
-def _check_suggestion_args(beta: float, C: float) -> None:
-    if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
-    if not (isinstance(C, (int, float)) and math.isfinite(C) and C > 0):
+def _check_constant(C: float) -> None:
+    # A chained comparison, not math.isfinite, which overflows on huge ints.
+    if not (isinstance(C, (int, float)) and 0.0 < C <= sys.float_info.max):
         raise ValueError(f"C must be a positive finite number, got {C!r}")
 
 
-def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
-    """Evaluate ``max(ceil(log C / log(1/beta)), 0)`` at 50-digit precision.
+def _check_suggestion_args(beta: float, C: float) -> None:
+    if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_constant(C)
 
-    The float64 ratio is a few ulp off, which cannot settle the ceiling
-    when the exact ratio is an integer or within a few ulp of one, and
-    ``ratio`` is reported correctly rounded; hence the high-precision
-    evaluation.  For ``C <= 1`` the ratio is not positive, so the clamp at
-    0 settles the outcome and ``borderline`` stays False.
+
+def _log_fixed(x: float) -> int:
+    """``log x`` in fixed point, as ``e log 2 + 2 atanh((m-1)/(m+1))`` for the
+    exact ``m = x / 2^e`` within ``2^(+-1/2)`` of 1 (``m = 1`` for ``x = 2^e``).
+    Each truncated term of the atanh series adds under a unit of error."""
+    num, den = x.as_integer_ratio()
+    e = round(math.log2(x))
+    num, den = (num, den << e) if e >= 0 else (num << -e, den)
+    t = (abs(num - den) << _FIXED_BITS) // (num + den)
+    t2, term, total, k = (t * t) >> _FIXED_BITS, t, t, 3
+    while term:
+        term = (term * t2) >> _FIXED_BITS
+        total += term // k
+        k += 2
+    return 2 * (total if num >= den else -total) + e * _LOG2_FIXED
+
+
+def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
+    """Evaluate ``max(ceil(log C / log(1/beta)), 0)`` beyond float64.
+
+    Both logs are taken in fixed point, each within ``2^-170``, so the ratio
+    is within about ``1e-35`` (relative); the rest is exact in integers, and
+    ``ratio`` is the correctly rounded quotient.  For ``beta = 2^-a`` and
+    ``C = 2^b`` the logs are ``-a`` and ``b`` times ``_LOG2_FIXED``, so the
+    outcome is exact; by unique factorisation these are the only floats
+    whose ratio is rational.  For ``C <= 1``, ``n0 = 0`` and not borderline.
     """
     _check_suggestion_args(beta, C)
-    # Imported here, its only runtime use, to keep mpmath off the import path.
-    import mpmath as mp
-
-    with mp.workdps(50):
-        ratio = mp.log(mp.mpf(C)) / -mp.log(mp.mpf(beta))
-        n0 = max(int(mp.ceil(ratio)), 0)
-        borderline = C > 1.0 and bool(abs(ratio - mp.nint(ratio)) < mp.mpf("1e-9"))
-    return BurninSuggestion(n0=n0, ratio=float(ratio), borderline=borderline)
+    log_c, log_inv_beta = _log_fixed(C), -_log_fixed(beta)
+    nearest = (2 * log_c + log_inv_beta) // (2 * log_inv_beta)
+    borderline = C > 1 and abs(log_c - nearest * log_inv_beta) * 10**9 < log_inv_beta
+    n0 = max(-(-log_c // log_inv_beta), 0)
+    return BurninSuggestion(n0=n0, ratio=log_c / log_inv_beta, borderline=borderline)
 
 
 def suggested_burnin(beta: float, C: float) -> int:
-    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``; see ``_suggestion``."""
-    return _suggestion(beta, C)[0]
+    """Closed-form burn-in ``max(ceil(log C / log(1/beta)), 0)``.
 
-
-def _suggestion(beta: float, C: float) -> tuple[int, bool]:
-    """``n0`` and ``borderline`` of ``suggested_burnin_detail(beta, C)``.
-
-    libm's ``log`` is within 1 ulp, so the float64 ratio is within a few ulp
-    of the exact one.  It settles both unless its distance to the nearest
-    integer lies within ``_CEIL_MARGIN`` (relative) of 0 or ``_BORDERLINE``.
+    libm's ``log`` is within 1 ulp, so the float64 ratio, a few ulp off,
+    settles ``n0`` unless it lies within ``_CEIL_MARGIN`` (relative) of an
+    integer, where ``suggested_burnin_detail`` does.
     """
     _check_suggestion_args(beta, C)
-    if C <= 1.0:
-        return 0, False
     ratio = math.log(C) / -math.log(beta)
-    distance, slack = abs(ratio - round(ratio)), _CEIL_MARGIN * ratio
-    if distance > slack and abs(distance - _BORDERLINE) > slack:
-        return math.ceil(ratio), distance < _BORDERLINE
-    detail = suggested_burnin_detail(beta, C)
-    return detail.n0, detail.borderline
+    if abs(ratio - round(ratio)) > _CEIL_MARGIN * abs(ratio):
+        return max(math.ceil(ratio), 0)
+    return suggested_burnin_detail(beta, C).n0
 
 
 def _log_k(beta: float, kind: str) -> float:
@@ -246,7 +251,7 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
 
 
 def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
-    """Exact integer argmin of the bound over all splits ``n0 in [0, N-1]``.
+    """Argmin of the bound over splits ``n0 in [0, N-1]``, up to rounding ties.
 
     The squared bound is convex in ``n0``: ``1/(N-n0)`` is convex and
     ``max(beta^n0, floor)/(N-n0)^2`` is log-convex.  A golden-section
@@ -376,30 +381,20 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     their curve to larger budgets.
     """
     _check_kind(kind)
-    choices = []
+    fixed = []
     for c in n0_choices:
         if not isinstance(c, (int, np.integer)) or c < 0:
             raise ValueError(f"burn-in choices must be nonnegative integers, got {c!r}")
-        choices.append(int(c))
-
+        fixed.append((int(c), f"{kind}[n0={int(c)}]"))
     suggested = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
+    fixed.append((suggested, f"{kind}[suggested]"))
+
     rows: list[FigureRow] = []
     for N in _budget_grid(query.N):
         sub = BudgetQuery(N=N, beta=query.beta, C=query.C)
-        for c in choices:
-            if c < N:
-                rows.append(
-                    FigureRow(N, c, f"{kind}[n0={c}]", bound_function(sub, N - c, c, kind))
-                )
-        if suggested < N:
-            rows.append(
-                FigureRow(
-                    N,
-                    suggested,
-                    f"{kind}[suggested]",
-                    bound_function(sub, N - suggested, suggested, kind),
-                )
-            )
+        for n0, label in fixed:
+            if n0 < N:
+                rows.append(FigureRow(N, n0, label, bound_function(sub, N - n0, n0, kind)))
         half = half_budget_plan(sub, kind)
         rows.append(FigureRow(N, half.n0, f"{kind}[half]", half.bound_value))
         opt = optimize_burnin(sub, kind)

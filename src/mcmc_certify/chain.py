@@ -274,6 +274,8 @@ def build_chain(P, pi=None) -> ReversibleChain:
         The stationary distribution has a zero (or denormal) entry.
     NotReversible
         Detailed balance fails; the message reports the worst pair.
+    ValueError
+        A supplied ``pi`` is not a distribution with one entry per state.
     """
     P = as_transition_matrix(P)
 
@@ -292,6 +294,9 @@ def build_chain(P, pi=None) -> ReversibleChain:
         stationary = _solve_stationary(P)
     else:
         stationary = np.asarray(as_distribution(pi))
+        if len(stationary) != len(P):
+            raise ValueError(f"stationary distribution has length {len(stationary)}, "
+                             f"chain has {len(P)} states")
 
     if np.any(stationary < 1e-300):
         i = int(np.argmin(stationary))

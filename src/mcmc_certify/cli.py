@@ -31,12 +31,11 @@ from .bounds import NORM_KINDS, bound_general_start, bound_theorem
 from .burnin import (
     BOUND_KINDS,
     BudgetQuery,
-    _suggestion,
-    bound_function,
     figure_series,
     half_budget_plan,
     optimize_burnin,
     suggested_burnin,
+    suggested_burnin_detail,
     suggested_plan,
 )
 from .chain import spectral_decompose
@@ -247,7 +246,7 @@ def cmd_burnin(args) -> int:
     else:
         plan = suggested_plan(query, args.kind)
         if query.beta > 0.0:
-            borderline = _suggestion(query.beta, query.C)[1]
+            borderline = suggested_burnin_detail(query.beta, query.C).borderline
     doc = {
         "strategy": plan.strategy,
         "kind": args.kind,

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,14 @@ import mcmc_certify as mc
 from mcmc_certify import cli
 from mcmc_certify import burnin
 from mcmc_certify.burnin import (
-    _BORDERLINE,
     _BRACKET,
+    _FIXED_BITS,
     _GOLDEN_CUT,
+    _LOG2_FIXED,
     _MARGIN,
     _bound_terms,
     _budget_grid,
     _squared_bounds,
-    _suggestion,
 )
 
 _SCAN_CHUNK = 4_000_000
@@ -110,6 +111,8 @@ def test_query_validation():
         mc.BudgetQuery(N=100, beta=0.5, C=0.0)
     with pytest.raises(ValueError):
         mc.BudgetQuery(N=100, beta=0.5, C=float("inf"))
+    with pytest.raises(ValueError, match="positive finite"):
+        mc.BudgetQuery(N=10, beta=0.5, C=10**400)
 
 
 def test_query_budget_capped_at_float64_integers():
@@ -240,6 +243,10 @@ def test_suggested_burnin_validation():
         mc.suggested_burnin(1.0, 10.0)
     with pytest.raises(ValueError):
         mc.suggested_burnin(0.5, float("nan"))
+    # An int beyond float64 is refused, not passed to math.isfinite.
+    for suggest in (mc.suggested_burnin, mc.suggested_burnin_detail):
+        with pytest.raises(ValueError, match="positive finite"):
+            suggest(0.5, 10**400)
 
 
 @given(
@@ -262,11 +269,34 @@ _BETAS_NEAR_ONE = (
 )
 
 
+BORDERLINE = 1e-9
+
+
+def mpmath_suggestion(beta, C):
+    """50-digit reference ``(n0, ratio, borderline)``.
+
+    On power-of-two pairs, whose ratio can be an exact integer, 50 digits
+    can round to either side of it: (0.5, 128.0) gives n0 = 8, not 7.
+    """
+    with mpmath.workdps(50):
+        ratio = mpmath.log(mpmath.mpf(C)) / -mpmath.log(mpmath.mpf(beta))
+        n0 = max(int(mpmath.ceil(ratio)), 0)
+        borderline = C > 1 and abs(ratio - mpmath.nint(ratio)) < mpmath.mpf(BORDERLINE)
+        return n0, float(ratio), bool(borderline)
+
+
+def is_power_of_two_pair(beta, C):
+    return math.frexp(beta)[0] == 0.5 and C == 2.0 ** (math.frexp(C)[1] - 1)
+
+
 def assert_suggestion_matches_50_digits(beta, C):
-    """The float64 ceiling and ``borderline`` flag equal the 50-digit ones."""
+    """``suggested_burnin_detail`` equals the 50-digit reference off
+    power-of-two pairs, and ``suggested_burnin`` equals its ``n0``."""
     detail = mc.suggested_burnin_detail(beta, C)
     assert mc.suggested_burnin(beta, C) == detail.n0, (beta, C)
-    assert _suggestion(beta, C) == (detail.n0, detail.borderline), (beta, C)
+    if not is_power_of_two_pair(beta, C):
+        got = (detail.n0, detail.ratio, detail.borderline)
+        assert got == mpmath_suggestion(beta, C), (beta, C)
 
 
 @given(beta=_BETAS_NEAR_ONE, log10_C=st.floats(min_value=-5.0, max_value=308.0))
@@ -279,6 +309,53 @@ def test_suggested_burnin_exact_integer_ratios():
     # log(2^k) / log 2 = k exactly; float64 rounds the ratio either side of k.
     for k in range(1, 1024):
         assert_suggestion_matches_50_digits(0.5, 2.0**k)
+
+
+def test_suggested_burnin_power_of_two_pairs():
+    """beta = 2^-a, C = 2^b: n0 is the smallest integer with C beta^n0 <= 1.
+
+    The check runs in integer exponents: b - a n0 <= 0 < b - a (n0 - 1).
+    """
+    for a in range(1, 65):
+        for b in range(-64, 1024):
+            beta, C = 2.0**-a, 2.0**b
+            detail = mc.suggested_burnin_detail(beta, C)
+            n0 = detail.n0
+            assert n0 == max(math.ceil(b / a), 0), (a, b)
+            assert detail.ratio == b / a, (a, b)
+            assert detail.borderline == (b > 0 and b % a == 0), (a, b)
+            assert b - a * n0 <= 0, (a, b)
+            assert n0 == 0 or b - a * (n0 - 1) > 0, (a, b)
+            assert mc.suggested_burnin(beta, C) == n0, (a, b)
+
+
+def test_log2_constant_is_log2_rounded_down():
+    with mpmath.workdps(100):
+        exact = mpmath.log(2) * mpmath.mpf(2) ** _FIXED_BITS
+        assert _LOG2_FIXED == int(mpmath.floor(exact))
+
+
+def test_suggested_burnin_matches_50_digits_over_the_whole_range():
+    """Seeded (beta, C) from the smallest subnormal to within 1 ulp of 1 and
+    of float64's largest value, int C included, plus C = beta^-k and its
+    float neighbours."""
+    rng = np.random.default_rng(20240801)
+    for _ in range(1500):
+        if rng.uniform() < 0.5:
+            beta = float(1.0 - 2.0 ** -rng.uniform(0.0, 53.0))
+        else:
+            beta = float(2.0 ** -rng.uniform(0.0, 1074.0))
+        if not 0.0 < beta < 1.0:
+            continue
+        C = float(2.0 ** rng.uniform(-1074.0, 1024.0))
+        if 0.0 < C < math.inf:
+            assert_suggestion_matches_50_digits(beta, C)
+        assert_suggestion_matches_50_digits(beta, int(rng.integers(2, 2**62)))
+        k_max = int(700.0 / -math.log(beta))
+        if k_max >= 1:
+            near = beta ** -int(rng.integers(1, k_max + 1))
+            for C in (math.nextafter(near, 0.0), near, math.nextafter(near, math.inf)):
+                assert_suggestion_matches_50_digits(beta, C)
 
 
 @given(
@@ -305,13 +382,14 @@ def test_suggested_burnin_near_integer_ratios(beta, t, step):
 )
 @settings(max_examples=300)
 def test_borderline_flag_at_the_band_edge(beta, log10_k, offset, log10_gap, inside):
-    """Ratios k +- 1e-9 (1 -+ gap): just inside or just outside the band.
+    """Ratios k +- 1e-9 (1 -+ gap): just inside or just outside the band,
+    where the integer ``borderline`` test must agree with the 50-digit one.
 
     beta stays away from 1, where C's own rounding would move the ratio by
     more than the gap.
     """
     k = min(round(10.0**log10_k), int(700.0 / -math.log(beta)))
-    edge = _BORDERLINE * (1.0 - 10.0**log10_gap if inside else 1.0 + 10.0**log10_gap)
+    edge = BORDERLINE * (1.0 - 10.0**log10_gap if inside else 1.0 + 10.0**log10_gap)
     assert_suggestion_matches_50_digits(beta, math.exp((k + offset * edge) * -math.log(beta)))
 
 

@@ -108,6 +108,14 @@ def test_rejects_zero_mass_pi():
         mc.build_chain([[0.7, 0.3], [0.6, 0.4]], pi=[1.0, 0.0])
 
 
+def test_rejects_pi_of_wrong_length():
+    P = np.full((3, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="stationary distribution has length 2, chain has 3 states"):
+        mc.build_chain(P, pi=[0.5, 0.5])
+    with pytest.raises(ValueError, match="has length 4, chain has 3 states"):
+        mc.build_chain(P, pi=[0.25] * 4)
+
+
 def test_rejects_noninvariant_pi():
     with pytest.raises((NotReversible, NotErgodic)):
         mc.build_chain([[0.7, 0.3], [0.6, 0.4]], pi=[0.5, 0.5])

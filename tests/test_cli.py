@@ -219,6 +219,15 @@ def test_exit_code_validation_failure(capsys, tmp_path):
     assert "NotReversible" in capsys.readouterr().err
 
 
+def test_exit_code_stationary_distribution_of_wrong_length(capsys, tmp_path):
+    path = tmp_path / "short_pi.json"
+    path.write_text(json.dumps({"P": np.full((3, 3), 1.0 / 3.0).tolist(), "pi": [0.5, 0.5]}))
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "stationary distribution has length 2, chain has 3 states" in err
+    assert "broadcast" not in err
+
+
 def test_exit_code_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
@@ -297,11 +306,13 @@ def test_package_entry_point_runs(package_env):
         ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "optimize"],
         ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "half"],
         ["burnin", "--beta", "0.99", "--C", "1e30", "--N", "100000", "--strategy", "suggested"],
+        ["burnin", "--beta", "0.5", "--C", "128", "--N", "100", "--strategy", "suggested"],
     ],
 )
 def test_common_path_runs_without_mpmath(argv, monkeypatch, tmp_path):
-    """mpmath is needed only near an integer ceiling or the borderline band's
-    edge; these never get there."""
+    """The runtime needs numpy alone: every verb runs with mpmath blocked,
+    including a suggestion whose ratio log 128 / log 2 = 7 is an exact
+    integer that float64 cannot settle."""
     monkeypatch.setitem(sys.modules, "mpmath", None)
     if argv[0] == "reproduce":
         argv = argv + ["--out", str(tmp_path)]
