@@ -3,7 +3,7 @@
 Workflow: build a validated reversible chain, decompose its spectrum, then
 either compute the exact mean-square error of a burn-in time average, certify
 it from above with closed-form bounds, plan the burn-in under a fixed budget,
-or cross-check everything by brute force and simulation.
+or cross-check it by naive summation and by simulation.
 
 The public API is the union of the ``__all__`` lists of the submodules
 imported below; ``cli`` is not re-exported.
@@ -13,7 +13,6 @@ import sys as _sys
 
 from .errors import *  # noqa: F403
 from .chain import *  # noqa: F403
-from .convergence import *  # noqa: F403
 from .exact_error import *  # noqa: F403  (binds the function ``exact_error``)
 from .bounds import *  # noqa: F403
 from .burnin import *  # noqa: F403
@@ -28,7 +27,6 @@ __all__ = ["__version__"] + [
     for module in (
         "errors",
         "chain",
-        "convergence",
         "exact_error",
         "bounds",
         "burnin",

@@ -19,6 +19,10 @@ dominate the exact MSE — the variant whose series starts at exponent one is
 not an upper bound (it can undershoot at n0 = 0).  The shifted sums satisfy
 the same caps, so the closed-form constants of :func:`bound_theorem` are
 unaffected.
+
+Both families take their start constants from here: :func:`density_ratio_bound`
+(``C_density``) and :func:`mass_floor_bound` (``C_pi``); :func:`chi2_contrast`
+of the start against ``pi`` is reported beside them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from ._geometric import u_sum, v_sum
 from .chain import (
+    _MASS_FLOOR,
     ReversibleChain,
     _check_length,
     as_distribution,
@@ -37,7 +42,7 @@ from .chain import (
     spectral_decompose,
     weighted_norm,
 )
-from .convergence import density_ratio_bound, mass_floor_bound
+from .errors import ZeroMass
 from .exact_error import EstimatorSpec, stationary_error
 
 __all__ = [
@@ -46,6 +51,9 @@ __all__ = [
     "damped_power",
     "v_aggregate",
     "u_aggregate",
+    "chi2_contrast",
+    "density_ratio_bound",
+    "mass_floor_bound",
     "BoundConstants",
     "BoundReport",
     "bound_general_start",
@@ -111,6 +119,43 @@ def u_aggregate(b: float, n: int) -> float:
 def _from_start(aggregate, b: float, n: int) -> float:
     """An aggregate with exponents shifted to start at zero: ``aggregate(b, n)/b``."""
     return aggregate(b, n) / b if b > 0.0 else 1.0
+
+
+def _ratio_safe(mu: np.ndarray, what: str) -> None:
+    if np.any(mu < _MASS_FLOOR):
+        i = int(np.argmin(mu))
+        raise ZeroMass(f"{what} has vanishing mass at state {i} ({mu[i]!r})")
+
+
+def chi2_contrast(nu, mu) -> float:
+    """Chi-square contrast ``sum_x (nu[x] - mu[x])^2 / mu[x]``.
+
+    Zero iff the distributions coincide; requires ``mu > 0`` everywhere.
+    """
+    nu = np.asarray(as_distribution(nu))
+    mu = np.asarray(as_distribution(mu))
+    if nu.shape != mu.shape:
+        raise ValueError("distributions must have equal length")
+    _ratio_safe(mu, "reference distribution")
+    diff = nu - mu
+    return float(np.sum(diff * diff / mu))
+
+
+def density_ratio_bound(nu, pi) -> float:
+    """Start-quality constant ``||nu/pi - 1||_inf`` (0 iff started at pi)."""
+    nu = np.asarray(as_distribution(nu))
+    pi = np.asarray(pi, dtype=np.float64)
+    if nu.shape != pi.shape:
+        raise ValueError("distributions must have equal length")
+    _ratio_safe(pi, "stationary distribution")
+    return float(np.max(np.abs(nu / pi - 1.0)))
+
+
+def mass_floor_bound(pi) -> float:
+    """Worst-case density constant ``||1/pi||_inf = 1 / min_x pi[x]``."""
+    pi = np.asarray(pi, dtype=np.float64)
+    _ratio_safe(pi, "stationary distribution")
+    return float(1.0 / np.min(pi))
 
 
 @dataclass(frozen=True)

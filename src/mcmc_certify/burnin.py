@@ -85,11 +85,9 @@ class BudgetQuery:
 
     def __post_init__(self) -> None:
         if not isinstance(self.N, (int, np.integer)) or not 2 <= self.N <= _MAX_BUDGET:
-            raise ValueError(
-                f"budget N must be an integer in [2, 2**53], got {self.N!r}"
-            )
+            raise ValueError(f"budget N must be an integer in [2, 2**53], got {_shown(self.N)}")
         if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
+            raise ValueError(f"beta must lie in [0, 1), got {_shown(self.beta)}")
         _check_constant(self.C)
 
 
@@ -123,15 +121,21 @@ class BurninSuggestion:
     borderline: bool
 
 
+def _shown(x) -> str:
+    """``repr(x)``, or the bit length of an int beyond float64 (thousands of digits)."""
+    huge = isinstance(x, int) and abs(x) > sys.float_info.max
+    return f"an integer of {abs(x).bit_length()} bits" if huge else repr(x)
+
+
 def _check_constant(C: float) -> None:
     # A chained comparison, not math.isfinite, which overflows on huge ints.
     if not (isinstance(C, (int, float)) and 0.0 < C <= sys.float_info.max):
-        raise ValueError(f"C must be a positive finite number, got {C!r}")
+        raise ValueError(f"C must be a positive finite number, got {_shown(C)}")
 
 
 def _check_suggestion_args(beta: float, C: float) -> None:
     if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
+        raise ValueError(f"beta must lie in (0, 1), got {_shown(beta)}")
     _check_constant(C)
 
 

@@ -72,6 +72,8 @@ SPEC_TOL = 1e-8
 # 34 MB + 74 bytes * d**2 at d = 400..1600 (a parsed chain file, the dense
 # arrays and eigh), so the cap costs about 1.3 GB and minutes of O(d**3).
 _MAX_STATES = 4096
+# Stationary or reference mass below this makes density ratios meaningless.
+_MASS_FLOOR = 1e-300
 
 _VALID_P = {1, 2, 4, np.inf}
 
@@ -298,7 +300,7 @@ def build_chain(P, pi=None) -> ReversibleChain:
             raise ValueError(f"stationary distribution has length {len(stationary)}, "
                              f"chain has {len(P)} states")
 
-    if np.any(stationary < 1e-300):
+    if np.any(stationary < _MASS_FLOOR):
         i = int(np.argmin(stationary))
         raise ZeroMass(f"stationary mass at state {i} is {float(stationary[i])!r}")
 

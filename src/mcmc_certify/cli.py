@@ -27,7 +27,14 @@ import sys
 
 import numpy as np
 
-from .bounds import NORM_KINDS, bound_general_start, bound_theorem
+from .bounds import (
+    NORM_KINDS,
+    bound_general_start,
+    bound_theorem,
+    chi2_contrast,
+    density_ratio_bound,
+    mass_floor_bound,
+)
 from .burnin import (
     BOUND_KINDS,
     BudgetQuery,
@@ -40,7 +47,6 @@ from .burnin import (
 )
 from .chain import spectral_decompose
 from .chainfile import load_chain_file
-from .convergence import chi2_contrast, density_ratio_bound, mass_floor_bound
 from .errors import BudgetOverflow, ChainError, TooLarge
 from .exact_error import EstimatorSpec, asymptotic_constant, exact_error
 from .simulate import SimulationConfig, estimate_error

@@ -59,7 +59,5 @@ class TooLarge(ChainError):
     Raised by :func:`~mcmc_certify.chain.as_transition_matrix` (and so by
     :func:`~mcmc_certify.chain.build_chain`) and by
     :func:`~mcmc_certify.chainfile.load_chain_file` for a chain of more than
-    4096 states, before the dense matrix is built, and by
-    :func:`~mcmc_certify.exact_error.path_enumeration_oracle` beyond 10**7
-    paths.
+    4096 states, before the dense matrix is built.
     """

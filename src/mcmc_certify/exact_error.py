@@ -22,14 +22,13 @@ Reversibility expands the start deviation in the eigenbasis,
 ``nu P^m / pi - 1 = sum_{k>=1} c_k lam_k^m u_k`` with ``c_k = nu . u_k``, so
 both correction sums collapse to sums over eigenpairs of one- and two-rate
 geometric sums.  The main entry point evaluates them in O(d^3 + d^2 log n)
-time, independent of the window.  A deliberately naive O(n^2 d^2) evaluation
-and a brute-force path enumeration oracle are kept alongside it so every
-optimized number can be cross-checked by two independent routes.
+time, independent of the window.  A deliberately naive O(n (n + n0) d^2)
+evaluation that shares nothing with it is kept alongside, so every optimized
+number can be cross-checked by an independent route.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,14 +39,14 @@ from .chain import (
     ReversibleChain,
     _check_length,
     _with_balanced_pi,
+    apply_to_distribution,
     as_distribution,
     mean_value,
     spectral_coefficients,
     spectral_decompose,
     weighted_inner,
 )
-from .convergence import deviation_function
-from .errors import BudgetOverflow, TooLarge
+from .errors import BudgetOverflow
 
 __all__ = [
     "EstimatorSpec",
@@ -58,11 +57,8 @@ __all__ = [
     "asymptotic_constant",
     "exact_error",
     "exact_error_naive",
-    "path_enumeration_oracle",
 ]
 
-# Hard cap on path enumeration: d ** (n + n0) many paths.
-_ENUMERATION_CAP = 10**7
 # Eigenvalue rows per block of the start correction: O(_ROWS d) temporaries.
 _ROWS = 256
 # Eigenvectors are accurate to about eps in absolute terms, and q . u_k weighs
@@ -246,9 +242,9 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     """Slow spectral-free evaluation of the same MSE, for cross-checking.
 
     The stationary part is summed from covariances ``<g, P^m g>_pi`` and the
-    correction terms recompute every deviation function from scratch, so the
-    route shares no intermediate results with :func:`exact_error`.  Costs
-    O(n (n + n0) d^2); restricted to n <= 50.
+    correction terms recompute every deviation ``nu P^m / pi - 1`` from
+    scratch, so the route shares no intermediate results with
+    :func:`exact_error`.  Costs O(n (n + n0) d^2); restricted to n <= 50.
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
@@ -268,7 +264,7 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     diagonal = 0.0
     cross = 0.0
     for j in range(1, n + 1):
-        dev = deviation_function(chain, nu, n0 + j - 1).values
+        dev = apply_to_distribution(chain, nu, n0 + j - 1) / chain.pi - 1.0
         diagonal += weighted_inner(dev, g2, chain.pi)
         w = g.copy()
         for _ in range(j + 1, n + 1):
@@ -277,45 +273,3 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
 
     n2 = float(n) * float(n)
     return (stationary + diagonal + 2.0 * cross) / n2
-
-
-def _index_chunks(d: int, length: int, size: int):
-    it = itertools.product(range(d), repeat=length)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def path_enumeration_oracle(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> float:
-    """Brute-force MSE: enumerate all ``d ** (n + n0)`` trajectories.
-
-    Sums ``P(path) * (average - stationary mean)^2`` literally, in chunks.
-    Only the definition of the estimator enters, so this is the ground truth
-    the analytic routes are tested against.  Raises :class:`TooLarge` beyond
-    10^7 paths.
-    """
-    nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f = _check_length(chain, f, "function")
-    n, n0 = int(spec.n), int(spec.n0)
-    d = chain.size
-    length = n + n0
-
-    n_paths = d**length
-    if n_paths > _ENUMERATION_CAP:
-        raise TooLarge(
-            f"enumeration needs {n_paths} paths, cap is {_ENUMERATION_CAP}"
-        )
-
-    mean = mean_value(f, chain.pi)
-    P = chain.P
-    partial_sums = []
-    for idx in _index_chunks(d, length, 200_000):
-        weights = nu[idx[:, 0]].copy()
-        for t in range(1, length):
-            weights *= P[idx[:, t - 1], idx[:, t]]
-        averages = f[idx[:, n0:]].mean(axis=1)
-        deviations = averages - mean
-        partial_sums.append(float(np.dot(weights, deviations * deviations)))
-    return math.fsum(partial_sums)

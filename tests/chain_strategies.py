@@ -1,11 +1,20 @@
 """Hypothesis strategies, chain helpers and reference computations for the tests."""
 
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
+from mcmc_certify.bounds import _ratio_safe
 from mcmc_certify.chain import _check_length
+from mcmc_certify.errors import TooLarge
 from mcmc_certify.simulate import _cdf, _step
+
+# Hard cap on path enumeration: d ** (n + n0) many paths.
+_ENUMERATION_CAP = 10**7
 
 
 def metropolis_chain(weights) -> mc.ReversibleChain:
@@ -196,6 +205,39 @@ def total_variation(nu, mu) -> float:
     return 0.5 * float(np.sum(np.abs(nu - mu)))
 
 
+@dataclass(frozen=True, eq=False)
+class DeviationFunction:
+    """The deviation density ``d_k = (nu P^k)/pi - 1`` with its norms.
+
+    ``norm_l2**2`` equals ``chi2_contrast(nu P^k, pi)`` and ``norm_l1`` equals
+    twice the total-variation distance — both identities are enforced by the
+    test suite rather than recomputed here.
+    """
+
+    k: int
+    values: np.ndarray
+    norm_l1: float
+    norm_l2: float
+    norm_linf: float
+
+
+def deviation_function(chain, nu, k: int) -> DeviationFunction:
+    """Compute ``d_k`` for the given start ``nu`` and step count ``k >= 0``."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"step count k must be a nonnegative integer, got {k!r}")
+    _ratio_safe(chain.pi, "stationary distribution")
+    marginal = mc.apply_to_distribution(chain, nu, k)
+    values = marginal / chain.pi - 1.0
+    values.setflags(write=False)
+    return DeviationFunction(
+        k=int(k),
+        values=values,
+        norm_l1=mc.weighted_norm(values, chain.pi, 1),
+        norm_l2=mc.weighted_norm(values, chain.pi, 2),
+        norm_linf=mc.weighted_norm(values, chain.pi, np.inf),
+    )
+
+
 def l_functional(chain, nu, k: int, h) -> float:
     """Burn-in functional ``L_k(h) = <d_k, h>_pi`` for ``k >= 1``.
 
@@ -205,7 +247,7 @@ def l_functional(chain, nu, k: int, h) -> float:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"functional index k must be >= 1, got {k!r}")
     h = _check_length(chain, h, "function")
-    dev = mc.deviation_function(chain, nu, k)
+    dev = deviation_function(chain, nu, k)
     return mc.weighted_inner(dev.values, h, chain.pi)
 
 
@@ -216,6 +258,48 @@ def worst_case_stationary(chain, n: int) -> float:
     if chain.size == 1:
         return 0.0
     return mc.worst_case_mse(int(n), mc.spectral_decompose(chain).beta1)
+
+
+def _index_chunks(d: int, length: int, size: int):
+    it = itertools.product(range(d), repeat=length)
+    while True:
+        block = list(itertools.islice(it, size))
+        if not block:
+            return
+        yield np.array(block, dtype=np.intp)
+
+
+def path_enumeration_oracle(chain, nu, f, spec) -> float:
+    """Brute-force MSE: enumerate all ``d ** (n + n0)`` trajectories.
+
+    Sums ``P(path) * (average - stationary mean)^2`` literally, in chunks.
+    Only the definition of the estimator enters, so this is the ground truth
+    the analytic routes are tested against.  Raises :class:`TooLarge` beyond
+    10^7 paths.
+    """
+    nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
+    f = _check_length(chain, f, "function")
+    n, n0 = int(spec.n), int(spec.n0)
+    d = chain.size
+    length = n + n0
+
+    n_paths = d**length
+    if n_paths > _ENUMERATION_CAP:
+        raise TooLarge(
+            f"enumeration needs {n_paths} paths, cap is {_ENUMERATION_CAP}"
+        )
+
+    mean = mc.mean_value(f, chain.pi)
+    P = chain.P
+    partial_sums = []
+    for idx in _index_chunks(d, length, 200_000):
+        weights = nu[idx[:, 0]].copy()
+        for t in range(1, length):
+            weights *= P[idx[:, t - 1], idx[:, t]]
+        averages = f[idx[:, n0:]].mean(axis=1)
+        deviations = averages - mean
+        partial_sums.append(float(np.dot(weights, deviations * deviations)))
+    return math.fsum(partial_sums)
 
 
 def step_oracle(u, cdf_rows) -> np.ndarray:

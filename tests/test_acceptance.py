@@ -24,7 +24,12 @@ import pytest
 import mcmc_certify as mc
 from mcmc_certify import cli
 
-from chain_strategies import l_functional, operator_norm_on_mean_zero, worst_case_stationary
+from chain_strategies import (
+    l_functional,
+    operator_norm_on_mean_zero,
+    path_enumeration_oracle,
+    worst_case_stationary,
+)
 
 REL = 1.0 + 1e-10
 ATOL_NOISE = 1e-25   # products of pure rounding noise (squared contrasts)
@@ -59,7 +64,7 @@ def oracle_grid(grid_chains):
                 spec = mc.EstimatorSpec(n=n, n0=total - n)
                 for nu_name, nu in starts:
                     for f_name, f in functions:
-                        oracle = mc.path_enumeration_oracle(chain, nu, f, spec)
+                        oracle = path_enumeration_oracle(chain, nu, f, spec)
                         cases.append((name, chain, nu_name, nu, f_name, f, spec, oracle))
     return cases
 

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify.errors import ZeroMass
 
-from chain_strategies import distributions, l_functional, reversible_chains, total_variation
+from chain_strategies import (
+    deviation_function,
+    distributions,
+    l_functional,
+    reversible_chains,
+    total_variation,
+)
 
 
 def test_chi2_hand_value():
@@ -79,12 +85,12 @@ def test_chi2_bounded_by_density_ratio(data):
 
 def test_deviation_function_two_state_values(two_state):
     delta0 = np.array([1.0, 0.0])
-    d0 = mc.deviation_function(two_state, delta0, 0)
+    d0 = deviation_function(two_state, delta0, 0)
     assert d0.values == pytest.approx([0.5, -1.0], abs=1e-12)
     assert d0.norm_l2 == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     # nu P = (0.7, 0.3): ratios (1.05, 0.9), so d_1 = (0.05, -0.1).
-    d1 = mc.deviation_function(two_state, delta0, 1)
+    d1 = deviation_function(two_state, delta0, 1)
     assert d1.values == pytest.approx([0.05, -0.1], abs=1e-12)
     assert d1.norm_l2 == pytest.approx(0.1 * math.sqrt(0.5), rel=1e-11)
     assert d1.k == 1
@@ -94,7 +100,7 @@ def test_deviation_norms_match_definitions(suite):
     for name, chain in suite.items():
         delta0 = np.eye(chain.size)[0]
         for k in (0, 1, 4):
-            dev = mc.deviation_function(chain, delta0, k)
+            dev = deviation_function(chain, delta0, k)
             pushed = mc.apply_to_distribution(chain, delta0, k)
             assert dev.norm_l2**2 == pytest.approx(
                 mc.chi2_contrast(pushed, chain.pi), rel=1e-11, abs=1e-14
@@ -111,12 +117,12 @@ def test_deviation_norms_match_definitions(suite):
 @settings(max_examples=30)
 def test_deviation_is_mean_zero(chain, k):
     nu = np.eye(chain.size)[0]
-    dev = mc.deviation_function(chain, nu, k)
+    dev = deviation_function(chain, nu, k)
     assert abs(mc.mean_value(dev.values, chain.pi)) < 1e-10
 
 
 def test_stationary_start_has_zero_deviation(bd3):
-    dev = mc.deviation_function(bd3, bd3.pi, 3)
+    dev = deviation_function(bd3, bd3.pi, 3)
     assert np.max(np.abs(dev.values)) < 1e-10
 
 
@@ -124,7 +130,7 @@ def test_l_functional_matches_inner_product(bd3):
     nu = np.array([1.0, 0.0, 0.0])
     h = np.array([0.5, -1.0, 2.0])
     k = 2
-    dev = mc.deviation_function(bd3, nu, k)
+    dev = deviation_function(bd3, nu, k)
     expected = mc.weighted_inner(dev.values, h, bd3.pi)
     assert l_functional(bd3, nu, k, h) == pytest.approx(expected, rel=1e-13)
 

@@ -22,6 +22,7 @@ from mcmc_certify.errors import BudgetOverflow, TooLarge
 
 from chain_strategies import (
     forward_exact_mse,
+    path_enumeration_oracle,
     reversible_chains,
     standard_starts,
     state_functions,
@@ -48,7 +49,7 @@ def test_two_state_frozen_values(two_state, n, n0):
 
     assert mc.exact_error(two_state, nu, f, spec).mse == pytest.approx(expected, rel=1e-13)
     assert mc.exact_error_naive(two_state, nu, f, spec) == pytest.approx(expected, rel=1e-13)
-    assert mc.path_enumeration_oracle(two_state, nu, f, spec) == pytest.approx(
+    assert path_enumeration_oracle(two_state, nu, f, spec) == pytest.approx(
         expected, rel=1e-13
     )
 
@@ -230,7 +231,7 @@ def test_exact_matches_oracle_mixed_starts(bd3):
         for (n, n0) in [(1, 0), (2, 1), (3, 3), (5, 0)]:
             spec = mc.EstimatorSpec(n=n, n0=n0)
             assert mc.exact_error(bd3, nu, f, spec).mse == pytest.approx(
-                mc.path_enumeration_oracle(bd3, nu, f, spec), rel=1e-11, abs=1e-15
+                path_enumeration_oracle(bd3, nu, f, spec), rel=1e-11, abs=1e-15
             )
 
 
@@ -328,7 +329,7 @@ def test_exact_error_from_a_start_of_tiny_pi():
     assert_matches_forward(chain, start, f, SPREAD_WINDOWS)
     for n, n0 in [(2, 0), (3, 2)]:
         got = mc.exact_error(chain, start, f, mc.EstimatorSpec(n=n, n0=n0)).mse
-        ref = mc.path_enumeration_oracle(chain, start, f, mc.EstimatorSpec(n=n, n0=n0))
+        ref = path_enumeration_oracle(chain, start, f, mc.EstimatorSpec(n=n, n0=n0))
         assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -432,7 +433,7 @@ def test_naive_route_refuses_long_windows(two_state):
 
 def test_oracle_refuses_huge_state_spaces(bd3):
     with pytest.raises(TooLarge):
-        mc.path_enumeration_oracle(
+        path_enumeration_oracle(
             bd3, bd3.pi, [1.0, 0.0, 0.0], mc.EstimatorSpec(n=20, n0=0)
         )
 

@@ -1,6 +1,7 @@
 """The package surface: what ``import mcmc_certify`` loads and exports."""
 
 import importlib
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -10,7 +11,6 @@ import mcmc_certify as mc
 SUBMODULES = (
     "errors",
     "chain",
-    "convergence",
     "exact_error",
     "bounds",
     "burnin",
@@ -48,13 +48,14 @@ def test_all_reexports_every_submodule_name():
 def test_verification_aids_are_not_public():
     moved = {
         "chain": ("apply_to_function", "operator_norm_on_mean_zero"),
-        "convergence": ("l_functional", "total_variation"),
+        "bounds": ("l_functional", "total_variation", "DeviationFunction", "deviation_function"),
         "simulate": ("sample_trajectory",),
-        "exact_error": ("worst_case_stationary",),
+        "exact_error": ("worst_case_stationary", "path_enumeration_oracle"),
     }
     for module_name, names in moved.items():
         module = importlib.import_module(f"mcmc_certify.{module_name}")
         for name in names:
             assert name not in mc.__all__, name
             assert not hasattr(module, name), (module_name, name)
-    assert len(mc.__all__) == 67
+    assert importlib.util.find_spec("mcmc_certify.convergence") is None
+    assert len(mc.__all__) == 64
