@@ -42,7 +42,7 @@ from .chain import (
     spectral_decompose,
     weighted_norm,
 )
-from .errors import ZeroMass
+from .errors import ZeroMass, _check_int, _shown
 from .exact_error import EstimatorSpec, stationary_error
 
 __all__ = [
@@ -74,10 +74,9 @@ def damped_power(b: float, k: int) -> float:
 
     ``k = 0`` returns exactly 1 (also for ``b = 0``).
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"exponent k must be a nonnegative integer, got {k!r}")
+    k = _check_int(k, 0, "exponent k must be a nonnegative integer")
     if not (0.0 <= b < 1.0):
-        raise ValueError(f"base b must lie in [0, 1), got {b!r}")
+        raise ValueError(f"base b must lie in [0, 1), got {_shown(b)}")
     if k == 0:
         return 1.0
     if b == 0.0:
@@ -86,11 +85,10 @@ def damped_power(b: float, k: int) -> float:
 
 
 def _validate_bn(b, n) -> tuple[float, int]:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_int(n, 1, "n must be a positive integer")
     if not (0.0 <= b < 1.0):
-        raise ValueError(f"b must lie in [0, 1), got {b!r}")
-    return float(b), int(n)
+        raise ValueError(f"b must lie in [0, 1), got {_shown(b)}")
+    return float(b), n
 
 
 def v_aggregate(b: float, n: int) -> float:

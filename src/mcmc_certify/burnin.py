@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import POWER_FLOOR
+from .errors import _check_int, _shown
 from .exact_error import worst_case_mse
 
 __all__ = [
@@ -84,8 +85,7 @@ class BudgetQuery:
     C: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or not 2 <= self.N <= _MAX_BUDGET:
-            raise ValueError(f"budget N must be an integer in [2, 2**53], got {_shown(self.N)}")
+        _check_int(self.N, 2, "budget N must be an integer in [2, 2**53]", _MAX_BUDGET)
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {_shown(self.beta)}")
         _check_constant(self.C)
@@ -119,12 +119,6 @@ class BurninSuggestion:
     n0: int
     ratio: float
     borderline: bool
-
-
-def _shown(x) -> str:
-    """``repr(x)``, or the bit length of an int beyond float64 (thousands of digits)."""
-    huge = isinstance(x, int) and abs(x) > sys.float_info.max
-    return f"an integer of {abs(x).bit_length()} bits" if huge else repr(x)
 
 
 def _check_constant(C: float) -> None:
@@ -241,14 +235,12 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     and is what all planners here minimize.
     """
     _check_kind(kind)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"window length n must be a positive integer, got {n!r}")
-    if not isinstance(n0, (int, np.integer)) or n0 < 0:
-        raise ValueError(f"burn-in n0 must be a nonnegative integer, got {n0!r}")
+    n = _check_int(n, 1, "window length n must be a positive integer")
+    n0 = _check_int(n0, 0, "burn-in n0 must be a nonnegative integer")
     # _squared_bounds' steps on one split.  log n and exp stay numpy's, as
     # libm's can differ by an ulp; the other steps round alike in both.
     beta, n = query.beta, float(n)
-    damp = _log_damp(int(n0), beta, math.log(beta) if beta > 0.0 else 0.0)
+    damp = _log_damp(n0, beta, math.log(beta) if beta > 0.0 else 0.0)
     log_corr = math.log(query.C) + damp + _log_k(beta, kind) - 2 * float(np.log(n))
     corr = math.inf if log_corr > _EXP_OVERFLOW else float(np.exp(log_corr))
     return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
@@ -387,9 +379,8 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     _check_kind(kind)
     fixed = []
     for c in n0_choices:
-        if not isinstance(c, (int, np.integer)) or c < 0:
-            raise ValueError(f"burn-in choices must be nonnegative integers, got {c!r}")
-        fixed.append((int(c), f"{kind}[n0={int(c)}]"))
+        c = _check_int(c, 0, "burn-in choices must be nonnegative integers")
+        fixed.append((c, f"{kind}[n0={c}]"))
     suggested = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
     fixed.append((suggested, f"{kind}[suggested]"))
 

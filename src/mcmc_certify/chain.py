@@ -38,6 +38,8 @@ from .errors import (
     SpectralFailure,
     TooLarge,
     ZeroMass,
+    _check_int,
+    _shown,
 )
 
 __all__ = [
@@ -273,7 +275,8 @@ def build_chain(P, pi=None) -> ReversibleChain:
         stationary vector can be recovered, or a supplied ``pi`` is not
         invariant under ``P``.
     ZeroMass
-        The stationary distribution has a zero (or denormal) entry.
+        The stationary distribution has an entry below 1e-300 (``_MASS_FLOOR``),
+        zero or not.
     NotReversible
         Detailed balance fails; the message reports the worst pair.
     ValueError
@@ -410,10 +413,9 @@ def _check_length(
 
 def apply_to_distribution(chain: ReversibleChain, nu, k: int) -> np.ndarray:
     """Return ``nu P^k`` as a valid distribution (renormalized against drift)."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"power k must be a nonnegative integer, got {k!r}")
+    k = _check_int(k, 0, "power k must be a nonnegative integer")
     w = _check_length(chain, nu, "distribution", as_distribution)
-    for _ in range(int(k)):
+    for _ in range(k):
         w = w @ chain.P
     return w / w.sum()
 
@@ -425,7 +427,7 @@ def weighted_norm(f, pi, p) -> float:
     (it is ``max |f|`` regardless of pi).
     """
     if p not in _VALID_P:
-        raise ValueError(f"p must be one of 1, 2, 4, inf; got {p!r}")
+        raise ValueError(f"p must be one of 1, 2, 4, inf; got {_shown(p)}")
     f = np.asarray(f, dtype=np.float64)
     if p == np.inf:
         return float(np.max(np.abs(f)))

@@ -4,7 +4,15 @@ Everything raised on purpose by this package derives from :class:`ChainError`,
 so callers can catch one type at API boundaries.  Plain ``ValueError`` is
 reserved for malformed *parameters* (wrong shapes, out-of-range scalars);
 the subclasses below signal that the mathematical object itself is unusable.
+The one check of integer parameters (window, burn-in, budget, exponent,
+replications, seed) lives here too, so every module words its refusal, and
+shows an int beyond float64 by its bit length, the same way.
 """
+
+import math
+import sys
+
+import numpy as np
 
 __all__ = [
     "ChainError",
@@ -35,7 +43,7 @@ class NotErgodic(ChainError):
 
 
 class ZeroMass(ChainError):
-    """A distribution entry required to be positive is zero (or denormal)."""
+    """A distribution entry required to be positive is below 1e-300, zero or not."""
 
 
 class SpectralFailure(ChainError):
@@ -61,3 +69,16 @@ class TooLarge(ChainError):
     :func:`~mcmc_certify.chainfile.load_chain_file` for a chain of more than
     4096 states, before the dense matrix is built.
     """
+
+
+def _shown(x) -> str:
+    """``repr(x)``, or the bit length of an int beyond float64 (thousands of digits)."""
+    huge = isinstance(x, int) and abs(x) > sys.float_info.max
+    return f"an integer of {abs(x).bit_length()} bits" if huge else repr(x)
+
+
+def _check_int(value, low: int, message: str, high: float = math.inf) -> int:
+    """``int(value)`` for an int or numpy integer in [low, high], else ``ValueError``."""
+    if not (isinstance(value, (int, np.integer)) and low <= value <= high):
+        raise ValueError(f"{message}, got {_shown(value)}")
+    return int(value)

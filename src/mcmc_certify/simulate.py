@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ReversibleChain, _check_length, as_distribution, mean_value
-from .errors import BudgetOverflow
+from .errors import BudgetOverflow, _check_int
 from .exact_error import EstimatorSpec
 
 __all__ = [
@@ -43,12 +43,8 @@ class SimulationConfig:
     spec: EstimatorSpec
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replications, (int, np.integer)) or self.replications < 2:
-            raise ValueError(
-                f"replications must be an integer >= 2, got {self.replications!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_int(self.replications, 2, "replications must be an integer >= 2")
+        _check_int(self.seed, 0, "seed must be a nonnegative integer")
         if not isinstance(self.spec, EstimatorSpec):
             raise ValueError("spec must be an EstimatorSpec")
 

@@ -303,9 +303,33 @@ def test_random_chain_spectrum_in_unit_interval(chain):
     dec = mc.spectral_decompose(chain)
     lam = np.asarray(dec.eigenvalues)
     assert lam[0] == pytest.approx(1.0, abs=1e-10)
-    assert np.all(lam >= -1.0 - 1e-10)
+    assert np.all(lam[1:] > -1.0 + mc.SPEC_TOL)
     assert np.all(lam[1:] <= dec.beta1 + 1e-12)
-    assert 0.0 <= dec.beta < 1.0
+    assert 0.0 <= dec.beta < 1.0 - mc.SPEC_TOL
+
+
+# stationary_error, asymptotic_constant and exact_error take every lam[1:] in
+# (-1, 1) as given: they rely on this refusal.
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[2.5e-9, 1.0 - 2.5e-9], [1.0 - 2.5e-9, 2.5e-9]],
+        [[1.0 - 2.5e-9, 2.5e-9], [2.5e-9, 1.0 - 2.5e-9]],
+    ],
+    ids=["periodic", "lam-near-minus-one", "lam1-near-one"],
+)
+def test_spectral_decompose_refuses_spectrum_within_spec_tol_of_the_unit_circle(P):
+    chain = mc.build_chain(P)
+    with pytest.raises(NotErgodic, match="numerically non-ergodic"):
+        mc.spectral_decompose(chain)
+
+
+def test_spectral_decompose_accepts_spectrum_just_inside_spec_tol():
+    eps = 5e-8
+    dec = mc.spectral_decompose(mc.build_chain([[eps, 1.0 - eps], [1.0 - eps, eps]]))
+    assert dec.eigenvalues[1] == pytest.approx(-1.0 + 1e-7, abs=1e-15)
+    assert dec.beta < 1.0 - mc.SPEC_TOL
 
 
 @given(reversible_chains(max_states=5), st.integers(min_value=0, max_value=6))
