@@ -42,7 +42,7 @@ from .chain import (
     spectral_decompose,
     weighted_norm,
 )
-from .errors import ZeroMass, _check_int, _shown
+from .errors import _FLOAT_INT_MAX, ZeroMass, _check_int, _shown
 from .exact_error import EstimatorSpec, stationary_error
 
 __all__ = [
@@ -74,7 +74,7 @@ def damped_power(b: float, k: int) -> float:
 
     ``k = 0`` returns exactly 1 (also for ``b = 0``).
     """
-    k = _check_int(k, 0, "exponent k must be a nonnegative integer")
+    k = _check_int(k, 0, "exponent k must be a nonnegative integer", _FLOAT_INT_MAX)
     if not (0.0 <= b < 1.0):
         raise ValueError(f"base b must lie in [0, 1), got {_shown(b)}")
     if k == 0:
@@ -85,7 +85,7 @@ def damped_power(b: float, k: int) -> float:
 
 
 def _validate_bn(b, n) -> tuple[float, int]:
-    n = _check_int(n, 1, "n must be a positive integer")
+    n = _check_int(n, 1, "n must be a positive integer", _FLOAT_INT_MAX)
     if not (0.0 <= b < 1.0):
         raise ValueError(f"b must lie in [0, 1), got {_shown(b)}")
     return float(b), n

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import POWER_FLOOR
-from .errors import _check_int, _shown
+from .errors import _FLOAT_INT_MAX, _check_int, _shown
 from .exact_error import worst_case_mse
 
 __all__ = [
@@ -235,8 +235,8 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     and is what all planners here minimize.
     """
     _check_kind(kind)
-    n = _check_int(n, 1, "window length n must be a positive integer")
-    n0 = _check_int(n0, 0, "burn-in n0 must be a nonnegative integer")
+    n = _check_int(n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
+    n0 = _check_int(n0, 0, "burn-in n0 must be a nonnegative integer", _FLOAT_INT_MAX)
     # _squared_bounds' steps on one split.  log n and exp stay numpy's, as
     # libm's can differ by an ulp; the other steps round alike in both.
     beta, n = query.beta, float(n)
@@ -379,7 +379,7 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     _check_kind(kind)
     fixed = []
     for c in n0_choices:
-        c = _check_int(c, 0, "burn-in choices must be nonnegative integers")
+        c = _check_int(c, 0, "burn-in choices must be nonnegative integers", _FLOAT_INT_MAX)
         fixed.append((c, f"{kind}[n0={c}]"))
     suggested = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
     fixed.append((suggested, f"{kind}[suggested]"))

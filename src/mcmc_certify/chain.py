@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetOverflow,
     NotErgodic,
     NotReversible,
     NotStochastic,
@@ -76,6 +77,9 @@ SPEC_TOL = 1e-8
 _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300
+# Most steps apply_to_distribution takes: a loop of k matrix products that
+# would otherwise never end for a valid but huge k.
+_POWER_CAP = 1 << 27
 
 _VALID_P = {1, 2, 4, np.inf}
 
@@ -412,8 +416,14 @@ def _check_length(
 
 
 def apply_to_distribution(chain: ReversibleChain, nu, k: int) -> np.ndarray:
-    """Return ``nu P^k`` as a valid distribution (renormalized against drift)."""
+    """Return ``nu P^k`` as a valid distribution (renormalized against drift).
+
+    Takes k steps ``w -> w P``; raises :class:`BudgetOverflow` for more than
+    2**27, the longest walk a simulated replication may take.
+    """
     k = _check_int(k, 0, "power k must be a nonnegative integer")
+    if k > _POWER_CAP:
+        raise BudgetOverflow(f"power k must be at most {_POWER_CAP}, got {_shown(k)}")
     w = _check_length(chain, nu, "distribution", as_distribution)
     for _ in range(k):
         w = w @ chain.P

@@ -10,8 +10,9 @@ simulate-check run the seeded statistical soundness suite
 
 Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
 error, 3 resource cap (``TooLarge``: a chain of more than 4096 states;
-``BudgetOverflow``: a simulated replication longer than 2**27 steps, or an
-exact error whose start stays trapped), 4 I/O error.
+``BudgetOverflow``: a simulated replication longer than 2**27 steps, more
+than 2**27 replications, or an exact error whose start stays trapped), 4 I/O
+error.
 Machine output: ``--json`` dumps a schema-stable JSON document (non-finite
 floats as ``null``); CSV files use shortest-round-trip float formatting, so
 they are bit-stable across platforms.

@@ -54,10 +54,13 @@ class BudgetOverflow(ChainError):
     """A computation would exceed a fixed resource guard.
 
     Raised by :func:`~mcmc_certify.simulate.estimate_error` when one
-    replication would take more than 2**27 uniforms (a batch of the uniform
-    block holds at least one whole replication), and by
-    :func:`~mcmc_certify.exact_error.exact_error` when the start is still
-    concentrated on states of small pi after 4096 exact steps.
+    replication would take more than 2**27 uniforms (a column buffer holds
+    at least one whole replication) or when more than 2**27 replications are
+    asked for (one double each), by
+    :func:`~mcmc_certify.chain.apply_to_distribution` for more than 2**27
+    steps, and by :func:`~mcmc_certify.exact_error.exact_error` when the
+    start is still concentrated on states of small pi after 4096 exact
+    steps.
     """
 
 
@@ -69,6 +72,11 @@ class TooLarge(ChainError):
     :func:`~mcmc_certify.chainfile.load_chain_file` for a chain of more than
     4096 states, before the dense matrix is built.
     """
+
+
+# The largest int that converts to a float64: the upper end of every integer
+# parameter that the code goes on to use as a float.
+_FLOAT_INT_MAX = int(sys.float_info.max)
 
 
 def _shown(x) -> str:

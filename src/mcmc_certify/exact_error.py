@@ -45,7 +45,7 @@ from .chain import (
     spectral_decompose,
     weighted_inner,
 )
-from .errors import BudgetOverflow, _check_int, _shown
+from .errors import _FLOAT_INT_MAX, BudgetOverflow, _check_int, _shown
 
 __all__ = [
     "EstimatorSpec",
@@ -75,8 +75,8 @@ class EstimatorSpec:
     n0: int
 
     def __post_init__(self) -> None:
-        _check_int(self.n, 1, "window length n must be a positive integer")
-        _check_int(self.n0, 0, "burn-in n0 must be a nonnegative integer")
+        _check_int(self.n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
+        _check_int(self.n0, 0, "burn-in n0 must be a nonnegative integer", _FLOAT_INT_MAX)
 
     @property
     def total(self) -> int:
@@ -111,7 +111,7 @@ def w_factor(n: int, b: float) -> float:
     ``b -> 1``; it is evaluated in O(1), to a few ulp for every n, by the
     float64 kernel of :mod:`mcmc_certify._geometric`.
     """
-    n = _check_int(n, 1, "n must be a positive integer")
+    n = _check_int(n, 1, "n must be a positive integer", _FLOAT_INT_MAX)
     if not (-1.0 <= b < 1.0):
         raise ValueError(f"b must lie in [-1, 1), got {_shown(b)}")
     if n == 1:
@@ -130,7 +130,7 @@ def worst_case_mse(n: int, beta1: float) -> float:
 
 def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} a_k^2 W(n, lam_k)``."""
-    n = _check_int(n, 1, "window length n must be a positive integer")
+    n = _check_int(n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
     f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]

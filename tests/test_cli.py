@@ -246,6 +246,19 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_exit_code_simulation_seed_beyond_philox(capsys, chain_file):
+    argv = ["error", chain_file, "4", "2", "--simulate", "100", str(2**128), "--json"]
+    assert cli.main(argv) == 2
+    assert "seed must be an integer in [0, 2**128)" in capsys.readouterr().err
+
+
+def test_exit_code_replication_cap(capsys, chain_file):
+    # Refused before the R window sums (72.8 TiB here) are allocated.
+    argv = ["error", chain_file, "4", "2", "--simulate", str(10**13), "1", "--json"]
+    assert cli.main(argv) == 3
+    assert "BudgetOverflow: replications must be at most" in capsys.readouterr().err
+
+
 def test_exit_code_trapped_start(capsys, tmp_path):
     # The start holds pi = 1e-30 and keeps the chain for 1e6 steps on
     # average; a window past the 4096 exact steps is refused.

@@ -10,6 +10,7 @@ import pytest
 
 import mcmc_certify as mc
 from mcmc_certify.chain import weighted_norm
+from mcmc_certify.errors import BudgetOverflow
 
 SUBMODULES = (
     "errors",
@@ -66,33 +67,32 @@ def test_verification_aids_are_not_public():
 
 _QUERY = mc.BudgetQuery(N=10, beta=0.5, C=10.0)
 _SPEC = mc.EstimatorSpec(n=1, n0=0)
-# A call per checked parameter, setting it to v.  Ints above an unbounded
-# range are valid, so those parameters are tried on the negative values only.
+_FAIR = mc.build_chain([[0.5, 0.5], [0.5, 0.5]])
+# A call per checked parameter, setting it to v.  The two whose huge values
+# hit a resource cap instead are tried on the negative values only here.
 _BELOW = {
+    "apply_to_distribution.k": lambda v: mc.apply_to_distribution(_FAIR, [1.0, 0.0], v),
+    "SimulationConfig.replications": lambda v: mc.SimulationConfig(
+        replications=v, seed=0, spec=_SPEC
+    ),
+}
+# Those bounded above too: by float64's largest int where the code goes on
+# to use the value as a float, by 2**53 (N) or 2**128 (a Philox key).
+_EITHER_SIDE = {
     "EstimatorSpec.n": lambda v: mc.EstimatorSpec(n=v, n0=0),
     "EstimatorSpec.n0": lambda v: mc.EstimatorSpec(n=1, n0=v),
     "w_factor.n": lambda v: mc.w_factor(v, 0.5),
     "worst_case_mse.n": lambda v: mc.worst_case_mse(v, 0.5),
-    "stationary_error.n": lambda v: mc.stationary_error(
-        mc.build_chain([[0.5, 0.5], [0.5, 0.5]]), [0.0, 1.0], v
-    ),
+    "stationary_error.n": lambda v: mc.stationary_error(_FAIR, [0.0, 1.0], v),
     "damped_power.k": lambda v: mc.damped_power(0.5, v),
     "v_aggregate.n": lambda v: mc.v_aggregate(0.5, v),
     "u_aggregate.n": lambda v: mc.u_aggregate(0.5, v),
     "bound_function.n": lambda v: mc.bound_function(_QUERY, v, 0, "binf"),
     "bound_function.n0": lambda v: mc.bound_function(_QUERY, 5, v, "binf"),
     "figure_series.n0_choices": lambda v: mc.figure_series(_QUERY, [v], "binf"),
-    "apply_to_distribution.k": lambda v: mc.apply_to_distribution(
-        mc.build_chain([[0.5, 0.5], [0.5, 0.5]]), [1.0, 0.0], v
-    ),
-    "SimulationConfig.replications": lambda v: mc.SimulationConfig(
-        replications=v, seed=0, spec=_SPEC
-    ),
     "SimulationConfig.seed": lambda v: mc.SimulationConfig(
         replications=2, seed=v, spec=_SPEC
     ),
-}
-_EITHER_SIDE = {
     "BudgetQuery.N": lambda v: mc.BudgetQuery(N=v, beta=0.5, C=10.0),
     "w_factor.b": lambda v: mc.w_factor(5, v),
     "damped_power.b": lambda v: mc.damped_power(v, 3),
@@ -100,7 +100,8 @@ _EITHER_SIDE = {
     "weighted_norm.p": lambda v: weighted_norm([1.0], [1.0], v),
 }
 _NEGATIVE = {"-1e5000": -(10**5000), "-1e400": -(10**400)}
-_HUGE = {"1e5000": 10**5000, **_NEGATIVE}
+_POSITIVE = {"1e5000": 10**5000, "1e400": 10**400}
+_HUGE = {**_POSITIVE, **_NEGATIVE}
 
 
 @pytest.mark.parametrize(
@@ -115,5 +116,25 @@ _HUGE = {"1e5000": 10**5000, **_NEGATIVE}
 def test_huge_int_is_refused_by_bit_length(call, value):
     # The library's own message, not CPython's 4300-digit conversion limit.
     with pytest.raises(ValueError, match=r"got an integer of \d+ bits$") as err:
+        call(value)
+    assert len(str(err.value)) < 120
+
+
+@pytest.mark.parametrize("value", list(_POSITIVE.values()), ids=list(_POSITIVE))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: mc.apply_to_distribution(_FAIR, [1.0, 0.0], v),
+        lambda v: mc.estimate_error(
+            _FAIR, [1.0, 0.0], [1.0, 0.0], mc.SimulationConfig(replications=v, seed=0, spec=_SPEC)
+        ),
+    ],
+    ids=["apply_to_distribution.k", "estimate_error.replications"],
+)
+def test_huge_int_above_a_resource_cap_is_budget_overflow(call, value):
+    # Refused at once, by bit length: not a loop of 10**400 steps, nor an
+    # allocation of that many doubles.
+    message = r"at most 134217728, got an integer of \d+ bits$"
+    with pytest.raises(BudgetOverflow, match=message) as err:
         call(value)
     assert len(str(err.value)) < 120

@@ -6,6 +6,8 @@ assert exact equality across repeat runs and against a pure-Python replay.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,21 @@ def test_config_validation():
         mc.SimulationConfig(replications=1, seed=0, spec=spec)
     with pytest.raises(ValueError):
         mc.SimulationConfig(replications=100, seed=-1, spec=spec)
+
+
+def test_seed_is_a_philox_key(two_state):
+    # Philox takes keys below 2**128; the config refuses the rest itself.
+    spec = mc.EstimatorSpec(n=2, n0=0)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        mc.SimulationConfig(replications=100, seed=2**128, spec=spec)
+    config = mc.SimulationConfig(replications=100, seed=2**128 - 1, spec=spec)
+    rep = mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+    assert rep.seed == 2**128 - 1 and rep.std_error > 0.0
+
+
+def _force_workers(monkeypatch, k):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: k)
+    monkeypatch.setattr(simulate, "_MIN_ROWS", 1)
 
 
 def test_estimate_is_deterministic(two_state):
@@ -95,8 +112,9 @@ def _replay(chain, nu, f, spec, R, seed):
 def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
     """Pure-Python lock-step replay reproduces the batch result bit for bit.
 
-    Batches of 43 rows (R = 300 is not a multiple) and of one row (shorter
-    than a replication) must equal the single uniform block.
+    On 1, 2, 3 and 5 workers (chunks of R = 300 that are no multiple of the
+    batch), batches of 43 rows and of one row (shorter than a replication)
+    must equal the single uniform block.
     """
     R, seed = 300, 123
     default = simulate._BATCH_ELEMS
@@ -107,15 +125,96 @@ def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
             nu = np.full(d, 1.0 / d)
             f = np.arange(d, dtype=np.float64) ** 2
             expected = _replay(chain, nu, f, spec, R, seed)
-            for batch_elems in (default, 43 * spec.total, spec.total - 2):
-                monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
-                rep = mc.estimate_error(chain, nu, f, config)
-                assert (rep.mse_hat, rep.std_error) == expected, (chain, spec, batch_elems)
+            for k in (1, 2, 3, 5):
+                _force_workers(monkeypatch, k)
+                for batch_elems in (default, 43 * spec.total, spec.total - 2):
+                    monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
+                    rep = mc.estimate_error(chain, nu, f, config)
+                    assert (rep.mse_hat, rep.std_error) == expected, (chain, spec, k, batch_elems)
+
+
+def test_staged_pieces_shorter_than_a_replication(bd3, monkeypatch):
+    # A staging buffer of 3 uniforms cuts every replication of 9 steps into
+    # segments of 3; one of 64 holds 7 whole replications.
+    spec = mc.EstimatorSpec(n=6, n0=3)
+    config = mc.SimulationConfig(replications=50, seed=8, spec=spec)
+    nu, f = np.array([0.2, 0.5, 0.3]), np.array([0.0, 1.0, 4.0])
+    expected = _replay(bd3, nu, f, spec, 50, 8)
+    _force_workers(monkeypatch, 2)
+    for stage in (1, 3, 4, 64):
+        monkeypatch.setattr(simulate, "_STAGE_ELEMS", stage)
+        rep = mc.estimate_error(bd3, nu, f, config)
+        assert (rep.mse_hat, rep.std_error) == expected, stage
+
+
+def test_more_workers_than_cores_under_rapid_switching(bd3, monkeypatch):
+    # Eight workers of one-row batches, switching threads every microsecond:
+    # a write into another chunk's sums would change the result.
+    spec = mc.EstimatorSpec(n=5, n0=2)
+    config = mc.SimulationConfig(replications=400, seed=31, spec=spec)
+    nu, f = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 4.0])
+    _force_workers(monkeypatch, 8)
+    monkeypatch.setattr(simulate, "_BATCH_ELEMS", spec.total)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = mc.estimate_error(bd3, nu, f, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (rep.mse_hat, rep.std_error) == _replay(bd3, nu, f, spec, 400, 31)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3, 4, 5, 4099, 2**33 + 3])
+def test_positioned_generator_continues_the_stream(offset):
+    # Up to 4099 the stream is drawn straight.  Past it, a Philox counter
+    # set by hand stands in: counter c starts at uniform 4c, as the straight
+    # offsets 4 and 4099 also check.
+    seed = 2024
+    if offset < 8192:
+        expected = np.random.Generator(np.random.Philox(key=seed)).random(offset + 9)[offset:]
+    else:
+        counter = np.array([offset // 4, 0, 0, 0], dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        expected = reference.random(offset % 4 + 9)[offset % 4 :]
+    assert np.array_equal(simulate._positioned(seed, offset).random(9), expected)
+
+
+def test_worker_exception_propagates_and_no_thread_outlives_the_call(two_state, monkeypatch):
+    chunk_sums = simulate._chunk_sums
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("chunk 1 failed")
+        chunk_sums(*args)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "_chunk_sums", failing)
+    config = mc.SimulationConfig(replications=1000, seed=4, spec=mc.EstimatorSpec(n=3, n0=1))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+    assert threading.active_count() == before
 
 
 def test_memory_does_not_grow_with_the_uniform_block(two_state):
     # The whole block would hold 3e5 * 100 doubles (240 MB).  A batch of
     # 2**20 uniforms and its transpose take 16 MiB, the R sums 2.3 MB.
+    config = mc.SimulationConfig(
+        replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
+    )
+    tracemalloc.start()
+    try:
+        mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
+
+
+def test_memory_of_four_workers_stays_within_the_budget(two_state, monkeypatch):
+    # Four workers share the 16 MiB column budget, 2**19 uniforms each,
+    # beside four 128 KiB staging buffers and the R sums.
+    _force_workers(monkeypatch, 4)
     config = mc.SimulationConfig(
         replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
     )
@@ -214,6 +313,20 @@ def test_block_cap_trips(two_state):
     )
     with pytest.raises(BudgetOverflow):
         mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+
+
+@pytest.mark.parametrize("R", [(1 << 27) + 1, 10**13])
+def test_replication_cap_trips_before_any_allocation(two_state, R):
+    # One double per replication: 10**13 of them would be 72.8 TiB.
+    config = mc.SimulationConfig(replications=R, seed=0, spec=mc.EstimatorSpec(n=2, n0=1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetOverflow, match="replications must be at most 134217728"):
+            mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 class _ConstantUniforms:
