@@ -42,7 +42,7 @@ from .chain import (
     spectral_decompose,
     weighted_norm,
 )
-from .errors import _FLOAT_INT_MAX, ZeroMass, _check_int, _shown
+from .errors import ZeroMass, _check_count, _shown
 from .exact_error import EstimatorSpec, stationary_error
 
 __all__ = [
@@ -74,18 +74,16 @@ def damped_power(b: float, k: int) -> float:
 
     ``k = 0`` returns exactly 1 (also for ``b = 0``).
     """
-    k = _check_int(k, 0, "exponent k must be a nonnegative integer", _FLOAT_INT_MAX)
+    k = _check_count(k, 0, "exponent k")
     if not (0.0 <= b < 1.0):
         raise ValueError(f"base b must lie in [0, 1), got {_shown(b)}")
     if k == 0:
         return 1.0
-    if b == 0.0:
-        return POWER_FLOOR
     return max(math.pow(b, float(k)), POWER_FLOOR)
 
 
 def _validate_bn(b, n) -> tuple[float, int]:
-    n = _check_int(n, 1, "n must be a positive integer", _FLOAT_INT_MAX)
+    n = _check_count(n, 1, "n")
     if not (0.0 <= b < 1.0):
         raise ValueError(f"b must lie in [0, 1), got {_shown(b)}")
     return float(b), n
@@ -112,6 +110,11 @@ def u_aggregate(b: float, n: int) -> float:
     """
     b, n = _validate_bn(b, n)
     return float(u_sum(n, b))
+
+
+def _one_minus_root(b: float) -> float:
+    """``1 - sqrt(b)`` as ``(1-b)/(1+sqrt(b))``, which does not cancel as ``b -> 1``."""
+    return (1.0 - b) / (1.0 + math.sqrt(b))
 
 
 def _from_start(aggregate, b: float, n: int) -> float:
@@ -274,7 +277,7 @@ def bound_theorem(
         corr_const = 2.0 * math.sqrt(constants.C_pi) * root_c / (1.0 - beta) ** 2
     elif norm_kind == "l4":
         norm_sq = weighted_norm(f, chain.pi, 4) ** 2
-        corr_const = 16.0 * _SQRT2 * root_c / ((1.0 - beta) * (1.0 - math.sqrt(beta)))
+        corr_const = 16.0 * _SQRT2 * root_c / ((1.0 - beta) * _one_minus_root(beta))
     else:
         norm_sq = weighted_norm(f, chain.pi, np.inf) ** 2
         corr_const = 4.0 * root_c / (1.0 - beta) ** 2

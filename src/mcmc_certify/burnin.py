@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import POWER_FLOOR
-from .errors import _FLOAT_INT_MAX, _check_int, _shown
+from .bounds import POWER_FLOOR, _one_minus_root
+from .errors import _check_count, _shown
 from .exact_error import worst_case_mse
 
 __all__ = [
@@ -58,9 +58,6 @@ BOUND_KINDS = ("b4", "binf")
 _LOG_FLOOR = math.log(POWER_FLOOR)
 _LOG2 = math.log(2.0)
 _EXP_OVERFLOW = 709.0
-# float64 holds every integer up to 2**53 exactly; beyond it the window
-# lengths float(N - n0) of neighbouring splits can coincide.
-_MAX_BUDGET = 2**53
 # optimize_burnin: the golden-section search stops at a bracket of _BRACKET
 # splits, and the exact window adds _MARGIN splits on each side of it.
 _BRACKET = 128
@@ -85,7 +82,7 @@ class BudgetQuery:
     C: float
 
     def __post_init__(self) -> None:
-        _check_int(self.N, 2, "budget N must be an integer in [2, 2**53]", _MAX_BUDGET)
+        _check_count(self.N, 2, "budget N")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {_shown(self.beta)}")
         _check_constant(self.C)
@@ -186,9 +183,7 @@ def _log_k(beta: float, kind: str) -> float:
     one_minus = 1.0 - beta
     if kind == "binf":
         return _LOG2 - 2.0 * math.log(one_minus)
-    # 1 - sqrt(beta) computed as (1-beta)/(1+sqrt(beta)) to avoid cancellation
-    one_minus_root = one_minus / (1.0 + math.sqrt(beta))
-    return -math.log(one_minus) - math.log(one_minus_root)
+    return -math.log(one_minus) - math.log(_one_minus_root(beta))
 
 
 def _log_damp(n0: int, beta: float, log_beta: float) -> float:
@@ -235,8 +230,8 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     and is what all planners here minimize.
     """
     _check_kind(kind)
-    n = _check_int(n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
-    n0 = _check_int(n0, 0, "burn-in n0 must be a nonnegative integer", _FLOAT_INT_MAX)
+    n = _check_count(n, 1, "window length n")
+    n0 = _check_count(n0, 0, "burn-in n0")
     # _squared_bounds' steps on one split.  log n and exp stay numpy's, as
     # libm's can differ by an ulp; the other steps round alike in both.
     beta, n = query.beta, float(n)
@@ -379,7 +374,7 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     _check_kind(kind)
     fixed = []
     for c in n0_choices:
-        c = _check_int(c, 0, "burn-in choices must be nonnegative integers", _FLOAT_INT_MAX)
+        c = _check_count(c, 0, "each burn-in choice")
         fixed.append((c, f"{kind}[n0={c}]"))
     suggested = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
     fixed.append((suggested, f"{kind}[suggested]"))

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetOverflow,
     NotErgodic,
     NotReversible,
     NotStochastic,
     SpectralFailure,
     TooLarge,
     ZeroMass,
-    _check_int,
     _shown,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "as_state_function",
     "build_chain",
     "spectral_decompose",
-    "apply_to_distribution",
     "weighted_norm",
     "weighted_inner",
     "mean_value",
@@ -77,9 +74,6 @@ SPEC_TOL = 1e-8
 _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300
-# Most steps apply_to_distribution takes: a loop of k matrix products that
-# would otherwise never end for a valid but huge k.
-_POWER_CAP = 1 << 27
 
 _VALID_P = {1, 2, 4, np.inf}
 
@@ -413,21 +407,6 @@ def _check_length(
             f"{what} has length {v.shape[0]}, chain has {chain.size} states"
         )
     return v
-
-
-def apply_to_distribution(chain: ReversibleChain, nu, k: int) -> np.ndarray:
-    """Return ``nu P^k`` as a valid distribution (renormalized against drift).
-
-    Takes k steps ``w -> w P``; raises :class:`BudgetOverflow` for more than
-    2**27, the longest walk a simulated replication may take.
-    """
-    k = _check_int(k, 0, "power k must be a nonnegative integer")
-    if k > _POWER_CAP:
-        raise BudgetOverflow(f"power k must be at most {_POWER_CAP}, got {_shown(k)}")
-    w = _check_length(chain, nu, "distribution", as_distribution)
-    for _ in range(k):
-        w = w @ chain.P
-    return w / w.sum()
 
 
 def weighted_norm(f, pi, p) -> float:

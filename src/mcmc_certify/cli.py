@@ -9,7 +9,8 @@ reproduce      write the reference table / figure-curve CSV files
 simulate-check run the seeded statistical soundness suite
 
 Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
-error, 3 resource cap (``TooLarge``: a chain of more than 4096 states;
+error (including a count -- window, burn-in, budget, exponent -- above
+2**53), 3 resource cap (``TooLarge``: a chain of more than 4096 states;
 ``BudgetOverflow``: a simulated replication longer than 2**27 steps, more
 than 2**27 replications, or an exact error whose start stays trapped), 4 I/O
 error.
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON chain description (needs f; nu defaults to pi)")
     p.add_argument("n", type=int, help="number of averaged states")
     p.add_argument("n0", type=int, help="burn-in steps")
-    p.add_argument("--norm", choices=("l2", "l4", "linf", "all"), default="all")
+    p.add_argument("--norm", choices=(*NORM_KINDS, "all"), default="all")
     p.add_argument("--exact", action="store_true", help="also compute the exact MSE")
     p.add_argument(
         "--simulate",

@@ -6,7 +6,8 @@ reserved for malformed *parameters* (wrong shapes, out-of-range scalars);
 the subclasses below signal that the mathematical object itself is unusable.
 The one check of integer parameters (window, burn-in, budget, exponent,
 replications, seed) lives here too, so every module words its refusal, and
-shows an int beyond float64 by its bit length, the same way.
+shows an int beyond float64 by its bit length, the same way; so does the one
+ceiling of counts used as floats, 2**53.
 """
 
 import math
@@ -57,10 +58,10 @@ class BudgetOverflow(ChainError):
     replication would take more than 2**27 uniforms (a column buffer holds
     at least one whole replication) or when more than 2**27 replications are
     asked for (one double each), by
-    :func:`~mcmc_certify.chain.apply_to_distribution` for more than 2**27
-    steps, and by :func:`~mcmc_certify.exact_error.exact_error` when the
-    start is still concentrated on states of small pi after 4096 exact
-    steps.
+    :func:`~mcmc_certify.exact_error.exact_error_naive` when its walk would
+    take more than 2**27 steps, and by
+    :func:`~mcmc_certify.exact_error.exact_error` when the start is still
+    concentrated on states of small pi after 4096 exact steps.
     """
 
 
@@ -74,9 +75,10 @@ class TooLarge(ChainError):
     """
 
 
-# The largest int that converts to a float64: the upper end of every integer
-# parameter that the code goes on to use as a float.
-_FLOAT_INT_MAX = int(sys.float_info.max)
+# The upper end of every count the code goes on to use as a float (window,
+# burn-in, budget, exponent): float64 holds every integer up to 2**53, and
+# n**2 <= 2**106 stays finite.
+_COUNT_MAX = 2**53
 
 
 def _shown(x) -> str:
@@ -90,3 +92,8 @@ def _check_int(value, low: int, message: str, high: float = math.inf) -> int:
     if not (isinstance(value, (int, np.integer)) and low <= value <= high):
         raise ValueError(f"{message}, got {_shown(value)}")
     return int(value)
+
+
+def _check_count(value, low: int, what: str) -> int:
+    """``_check_int`` for a count used as a float: an integer in [low, 2**53]."""
+    return _check_int(value, low, f"{what} must be an integer in [{low}, 2**53]", _COUNT_MAX)

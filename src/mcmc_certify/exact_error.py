@@ -22,7 +22,7 @@ Reversibility expands the start deviation in the eigenbasis,
 ``nu P^m / pi - 1 = sum_{k>=1} c_k lam_k^m u_k`` with ``c_k = nu . u_k``, so
 both correction sums collapse to sums over eigenpairs of one- and two-rate
 geometric sums.  The main entry point evaluates them in O(d^3 + d^2 log n)
-time, independent of the window.  A deliberately naive O(n (n + n0) d^2)
+time, independent of the window.  A deliberately naive O((n0 + n^2) d^2)
 evaluation that shares nothing with it is kept alongside, so every optimized
 number can be cross-checked by an independent route.
 """
@@ -38,14 +38,13 @@ from .chain import (
     ReversibleChain,
     _check_length,
     _with_balanced_pi,
-    apply_to_distribution,
     as_distribution,
     mean_value,
     spectral_coefficients,
     spectral_decompose,
     weighted_inner,
 )
-from .errors import _FLOAT_INT_MAX, BudgetOverflow, _check_int, _shown
+from .errors import BudgetOverflow, _check_count, _shown
 
 __all__ = [
     "EstimatorSpec",
@@ -65,6 +64,9 @@ _ROWS = 256
 # _SPREAD times that of pi first takes exact steps q -> q P, at most _STEPS;
 # one still above _TRAPPED times it raises BudgetOverflow.
 _SPREAD, _TRAPPED, _STEPS = 100.0, 1e5, 4096
+# Longest walk of single steps q -> q P, or of a simulated replication: a loop
+# that would otherwise never end for a valid but huge window.
+_WALK_CAP = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ class EstimatorSpec:
     n0: int
 
     def __post_init__(self) -> None:
-        _check_int(self.n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
-        _check_int(self.n0, 0, "burn-in n0 must be a nonnegative integer", _FLOAT_INT_MAX)
+        _check_count(self.n, 1, "window length n")
+        _check_count(self.n0, 0, "burn-in n0")
 
     @property
     def total(self) -> int:
@@ -111,7 +113,7 @@ def w_factor(n: int, b: float) -> float:
     ``b -> 1``; it is evaluated in O(1), to a few ulp for every n, by the
     float64 kernel of :mod:`mcmc_certify._geometric`.
     """
-    n = _check_int(n, 1, "n must be a positive integer", _FLOAT_INT_MAX)
+    n = _check_count(n, 1, "n")
     if not (-1.0 <= b < 1.0):
         raise ValueError(f"b must lie in [-1, 1), got {_shown(b)}")
     if n == 1:
@@ -130,7 +132,7 @@ def worst_case_mse(n: int, beta1: float) -> float:
 
 def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} a_k^2 W(n, lam_k)``."""
-    n = _check_int(n, 1, "window length n must be a positive integer", _FLOAT_INT_MAX)
+    n = _check_count(n, 1, "window length n")
     f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]
@@ -231,15 +233,19 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     """Slow spectral-free evaluation of the same MSE, for cross-checking.
 
     The stationary part is summed from covariances ``<g, P^m g>_pi`` and the
-    correction terms recompute every deviation ``nu P^m / pi - 1`` from
-    scratch, so the route shares no intermediate results with
-    :func:`exact_error`.  Costs O(n (n + n0) d^2); restricted to n <= 50.
+    correction terms take every deviation ``nu P^m / pi - 1`` from one walk
+    ``q -> q P`` of the start, so the route shares no intermediate results
+    with :func:`exact_error`.  Costs O((n0 + n^2) d^2); restricted to
+    n <= 50, and raises :class:`BudgetOverflow` before its first step if the
+    walk would take more than 2**27 steps.
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
     n, n0 = int(spec.n), int(spec.n0)
     if n > 50:
         raise ValueError("naive cross-check is restricted to n <= 50")
+    if n0 + n - 1 > _WALK_CAP:
+        raise BudgetOverflow(f"the walk takes {n0 + n - 1} steps, cap is {_WALK_CAP}")
 
     g = f - mean_value(f, chain.pi)
     g2 = g * g
@@ -250,10 +256,15 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
         v = chain.P @ v
         stationary += 2.0 * (n - m) * weighted_inner(g, v, chain.pi)
 
+    q = as_distribution(nu)
+    for _ in range(n0):
+        q = q @ chain.P
     diagonal = 0.0
     cross = 0.0
     for j in range(1, n + 1):
-        dev = apply_to_distribution(chain, nu, n0 + j - 1) / chain.pi - 1.0
+        if j > 1:
+            q = q @ chain.P
+        dev = q / q.sum() / chain.pi - 1.0
         diagonal += weighted_inner(dev, g2, chain.pi)
         w = g.copy()
         for _ in range(j + 1, n + 1):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import ReversibleChain, _check_length, as_distribution, mean_value
 from .errors import BudgetOverflow, _check_int, _shown
-from .exact_error import EstimatorSpec
+from .exact_error import _WALK_CAP, EstimatorSpec
 
 __all__ = [
     "SimulationConfig",
@@ -51,9 +51,8 @@ _STAGE_ELEMS = 1 << 14
 # cores, two workers were 5-35% slower than one at 4000-6000 rows each, and
 # 15-30% faster at 12000.
 _MIN_ROWS = 8192
-# Longest replication (a column buffer holds at least one) and most
-# replications (one double of sums each): 1 GiB of doubles either way.
-_ROW_CAP = 1 << 27
+# Most replications (one double of sums each): 1 GiB of doubles.  The longest
+# replication is exact_error's _WALK_CAP (a column buffer holds one).
 _REPLICATION_CAP = 1 << 27
 
 
@@ -234,9 +233,9 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     n, n0 = int(spec.n), int(spec.n0)
     length = spec.total
     R = int(config.replications)
-    if length > _ROW_CAP:
+    if length > _WALK_CAP:
         raise BudgetOverflow(
-            f"one replication takes {length} uniforms, cap is {_ROW_CAP}"
+            f"one replication takes {length} uniforms, cap is {_WALK_CAP}"
         )
     if R > _REPLICATION_CAP:
         raise BudgetOverflow(

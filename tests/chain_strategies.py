@@ -196,6 +196,14 @@ def operator_norm_on_mean_zero(chain, n: int, p) -> float:
     return float(np.max(norms))
 
 
+def apply_to_distribution(chain, nu, k: int) -> np.ndarray:
+    """Return ``nu P^k`` as a valid distribution (renormalized against drift)."""
+    w = _check_length(chain, nu, "distribution", mc.as_distribution)
+    for _ in range(k):
+        w = w @ chain.P
+    return w / w.sum()
+
+
 def total_variation(nu, mu) -> float:
     """Total-variation distance ``(1/2) sum_x |nu[x] - mu[x]|`` in [0, 1]."""
     nu = np.asarray(mc.as_distribution(nu))
@@ -226,7 +234,7 @@ def deviation_function(chain, nu, k: int) -> DeviationFunction:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"step count k must be a nonnegative integer, got {k!r}")
     _ratio_safe(chain.pi, "stationary distribution")
-    marginal = mc.apply_to_distribution(chain, nu, k)
+    marginal = apply_to_distribution(chain, nu, k)
     values = marginal / chain.pi - 1.0
     values.setflags(write=False)
     return DeviationFunction(

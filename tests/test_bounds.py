@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
+from mcmc_certify.bounds import _one_minus_root
 
 from chain_strategies import reversible_chains, standard_starts
 
@@ -108,6 +110,19 @@ def test_aggregate_caps(b, n):
     assert mc.u_aggregate(b, n) <= 4.0 * SQRT2 / ((1.0 - b) * (1.0 - s)) * slack
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 2**53])
+def test_window_sums_finite_at_the_largest_rate(n):
+    # b = 1 - 2**-52 with the largest window admitted: nothing overflows.
+    b = 1.0 - 2.0**-52
+    for value in (
+        mc.w_factor(n, b),
+        mc.worst_case_mse(n, b),
+        mc.v_aggregate(b, n),
+        mc.u_aggregate(b, n),
+    ):
+        assert math.isfinite(value) and value > 0.0, (n, value)
+
+
 def test_aggregate_argument_validation():
     with pytest.raises(ValueError):
         mc.v_aggregate(1.0, 5)
@@ -167,6 +182,15 @@ def test_theorem_bound_formula_l4_linf(two_state):
     )
 
 
+@pytest.mark.parametrize("beta", [0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-8])
+def test_one_minus_root_against_50_digits(beta):
+    # 1 - sqrt(beta) cancels as beta -> 1 (8.6e-9 relative at 1 - 1e-8);
+    # the l4 closed form and the b4 planner share the stable form.
+    with mpmath.workdps(50):
+        exact = 1 - mpmath.sqrt(mpmath.mpf(beta))
+        assert abs(mpmath.mpf(_one_minus_root(beta)) / exact - 1) <= 1e-15
+
+
 def test_general_bound_stationary_start_is_exact():
     # With an exactly representable pi the density constant is exactly zero
     # and the bound collapses to the exact stationary MSE.
@@ -213,6 +237,23 @@ def test_theorem_dominates_general(suite):
                     gen = mc.bound_general_start(chain, nu, f, spec, kind)
                     thm = mc.bound_theorem(chain, nu, f, spec, kind)
                     assert gen.total <= thm.total * (1.0 + 1e-12), (name, kind, spec)
+
+
+@pytest.mark.parametrize("n0", [0, 7, 2**53])
+def test_bounds_at_the_largest_window(suite, n0):
+    # n = 2**53, the largest window admitted: every value is a number, and
+    # truth <= sharp bound <= closed form.
+    spec = mc.EstimatorSpec(n=2**53, n0=n0)
+    for name, chain in suite.items():
+        nu = np.eye(chain.size)[0]
+        f = np.arange(chain.size, dtype=float)
+        truth = mc.exact_error(chain, nu, f, spec).mse
+        assert math.isfinite(truth) and truth > 0.0, name
+        for kind in mc.NORM_KINDS:
+            gen = mc.bound_general_start(chain, nu, f, spec, kind).total
+            thm = mc.bound_theorem(chain, nu, f, spec, kind).total
+            assert math.isfinite(gen) and math.isfinite(thm), (name, kind)
+            assert truth <= gen <= thm, (name, kind, truth, gen, thm)
 
 
 def test_bounds_dominate_truth_small_grid(bd3):

@@ -16,6 +16,7 @@ from mcmc_certify.errors import (
 )
 
 from chain_strategies import (
+    apply_to_distribution,
     apply_to_function,
     operator_norm_on_mean_zero,
     reversible_chains,
@@ -218,7 +219,7 @@ def test_apply_to_distribution_matches_matrix_power(bd3):
     nu = np.array([1.0, 0.0, 0.0])
     k = 7
     expected = nu @ np.linalg.matrix_power(bd3.P, k)
-    out = mc.apply_to_distribution(bd3, nu, k)
+    out = apply_to_distribution(bd3, nu, k)
     assert out == pytest.approx(expected, rel=1e-13)
     assert out.sum() == pytest.approx(1.0, abs=1e-14)
 

@@ -1,5 +1,6 @@
 """Command-line interface: JSON contracts, exit codes, CSV reproduction."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -252,6 +253,12 @@ def test_exit_code_simulation_seed_beyond_philox(capsys, chain_file):
     assert "seed must be an integer in [0, 2**128)" in capsys.readouterr().err
 
 
+def test_exit_code_window_above_2_pow_53(capsys, chain_file):
+    assert cli.main(["error", chain_file, str(2**53 + 1), "0"]) == 2
+    err = capsys.readouterr().err
+    assert "window length n must be an integer in [1, 2**53], got 9007199254740993" in err
+
+
 def test_exit_code_replication_cap(capsys, chain_file):
     # Refused before the R window sums (72.8 TiB here) are allocated.
     argv = ["error", chain_file, "4", "2", "--simulate", str(10**13), "1", "--json"]
@@ -284,10 +291,24 @@ GOLDEN_TABLE1 = """N,beta,n_opt_b4,n_opt_binf,n0_suggested
 """
 
 
+# SHA-256 of the figure CSVs, which must keep their bytes.
+GOLDEN_FIGURES = {
+    "figure1": "4eef4e9a218a8f0075cc8c54a3f7fcd3c3573070c8625e5480732ab86b3e6638",
+    "figure2": "aa95882bb534d707460eeb623abb24fc0037cff9b452561e3be453c873aa8752",
+}
+
+
 def test_reproduce_table1(capsys, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["reproduce", "--target", "table1", "--out", str(out)]) == 0
     assert (out / "table1.csv").read_text() == GOLDEN_TABLE1
+
+
+@pytest.mark.parametrize("target", sorted(GOLDEN_FIGURES))
+def test_reproduce_figures_keep_their_bytes(capsys, tmp_path, target):
+    assert cli.main(["reproduce", "--target", target, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{target}.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_FIGURES[target]
 
 
 def test_module_entry_point_runs(tmp_path, package_env):

@@ -11,6 +11,7 @@ import mcmc_certify as mc
 from mcmc_certify.errors import ZeroMass
 
 from chain_strategies import (
+    apply_to_distribution,
     deviation_function,
     distributions,
     l_functional,
@@ -101,7 +102,7 @@ def test_deviation_norms_match_definitions(suite):
         delta0 = np.eye(chain.size)[0]
         for k in (0, 1, 4):
             dev = deviation_function(chain, delta0, k)
-            pushed = mc.apply_to_distribution(chain, delta0, k)
+            pushed = apply_to_distribution(chain, delta0, k)
             assert dev.norm_l2**2 == pytest.approx(
                 mc.chi2_contrast(pushed, chain.pi), rel=1e-11, abs=1e-14
             ), name

@@ -9,6 +9,7 @@ test.
 """
 
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -429,6 +430,28 @@ def test_naive_route_refuses_long_windows(two_state):
         mc.exact_error_naive(
             two_state, two_state.pi, [1.0, 0.0], mc.EstimatorSpec(n=51, n0=0)
         )
+
+
+class _NoSteps:
+    """A transition matrix that fails the test on any product with it."""
+
+    __array_ufunc__ = None  # numpy defers ``q @ P`` to __rmatmul__
+
+    def __matmul__(self, other):
+        raise AssertionError("step taken")
+
+    __rmatmul__ = __matmul__
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_naive_route_refuses_a_walk_beyond_the_cap_before_stepping(n):
+    # The walk takes n0 + n - 1 steps: 2**27 start stepping, 2**27 + 1 do not.
+    chain = types.SimpleNamespace(size=2, pi=np.array([0.5, 0.5]), P=_NoSteps())
+    over, at = (mc.EstimatorSpec(n=n, n0=2**27 + k - n) for k in (2, 1))
+    with pytest.raises(BudgetOverflow, match=r"the walk takes 134217729 steps, cap is 134217728"):
+        mc.exact_error_naive(chain, [1.0, 0.0], [1.0, 0.0], over)
+    with pytest.raises(AssertionError, match="step taken"):
+        mc.exact_error_naive(chain, [1.0, 0.0], [1.0, 0.0], at)
 
 
 def test_oracle_refuses_huge_state_spaces(bd3):

@@ -10,7 +10,7 @@ import pytest
 
 import mcmc_certify as mc
 from mcmc_certify.chain import weighted_norm
-from mcmc_certify.errors import BudgetOverflow
+from mcmc_certify.errors import _COUNT_MAX, BudgetOverflow
 
 SUBMODULES = (
     "errors",
@@ -51,7 +51,7 @@ def test_all_reexports_every_submodule_name():
 
 def test_verification_aids_are_not_public():
     moved = {
-        "chain": ("apply_to_function", "operator_norm_on_mean_zero"),
+        "chain": ("apply_to_function", "operator_norm_on_mean_zero", "apply_to_distribution"),
         "bounds": ("l_functional", "total_variation", "DeviationFunction", "deviation_function"),
         "simulate": ("sample_trajectory",),
         "exact_error": ("worst_case_stationary", "path_enumeration_oracle"),
@@ -62,23 +62,21 @@ def test_verification_aids_are_not_public():
             assert name not in mc.__all__, name
             assert not hasattr(module, name), (module_name, name)
     assert importlib.util.find_spec("mcmc_certify.convergence") is None
-    assert len(mc.__all__) == 64
+    assert len(mc.__all__) == 63
 
 
 _QUERY = mc.BudgetQuery(N=10, beta=0.5, C=10.0)
 _SPEC = mc.EstimatorSpec(n=1, n0=0)
 _FAIR = mc.build_chain([[0.5, 0.5], [0.5, 0.5]])
-# A call per checked parameter, setting it to v.  The two whose huge values
-# hit a resource cap instead are tried on the negative values only here.
+# A call per checked parameter, setting it to v.  The one whose huge values
+# hit a resource cap instead is tried on the negative values only here.
 _BELOW = {
-    "apply_to_distribution.k": lambda v: mc.apply_to_distribution(_FAIR, [1.0, 0.0], v),
     "SimulationConfig.replications": lambda v: mc.SimulationConfig(
         replications=v, seed=0, spec=_SPEC
     ),
 }
-# Those bounded above too: by float64's largest int where the code goes on
-# to use the value as a float, by 2**53 (N) or 2**128 (a Philox key).
-_EITHER_SIDE = {
+# The counts the code goes on to use as floats, bounded above by 2**53.
+_COUNTS = {
     "EstimatorSpec.n": lambda v: mc.EstimatorSpec(n=v, n0=0),
     "EstimatorSpec.n0": lambda v: mc.EstimatorSpec(n=1, n0=v),
     "w_factor.n": lambda v: mc.w_factor(v, 0.5),
@@ -90,10 +88,14 @@ _EITHER_SIDE = {
     "bound_function.n": lambda v: mc.bound_function(_QUERY, v, 0, "binf"),
     "bound_function.n0": lambda v: mc.bound_function(_QUERY, 5, v, "binf"),
     "figure_series.n0_choices": lambda v: mc.figure_series(_QUERY, [v], "binf"),
+    "BudgetQuery.N": lambda v: mc.BudgetQuery(N=v, beta=0.5, C=10.0),
+}
+# Those bounded above too: the counts, the seed by 2**128 (a Philox key).
+_EITHER_SIDE = {
+    **_COUNTS,
     "SimulationConfig.seed": lambda v: mc.SimulationConfig(
         replications=2, seed=v, spec=_SPEC
     ),
-    "BudgetQuery.N": lambda v: mc.BudgetQuery(N=v, beta=0.5, C=10.0),
     "w_factor.b": lambda v: mc.w_factor(5, v),
     "damped_power.b": lambda v: mc.damped_power(v, 3),
     "v_aggregate.b": lambda v: mc.v_aggregate(v, 3),
@@ -120,21 +122,22 @@ def test_huge_int_is_refused_by_bit_length(call, value):
     assert len(str(err.value)) < 120
 
 
-@pytest.mark.parametrize("value", list(_POSITIVE.values()), ids=list(_POSITIVE))
+@pytest.mark.parametrize("call", list(_COUNTS.values()), ids=list(_COUNTS))
+def test_count_ceiling_is_2_pow_53(call):
+    # float64 holds every count up to 2**53, and n**2 stays finite.
+    assert _COUNT_MAX == 2**53
+    call(2**53)
+    with pytest.raises(ValueError, match=r"be an integer in \[\d, 2\*\*53\], got 9007199254740993$"):
+        call(2**53 + 1)
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda v: mc.apply_to_distribution(_FAIR, [1.0, 0.0], v),
-        lambda v: mc.estimate_error(
-            _FAIR, [1.0, 0.0], [1.0, 0.0], mc.SimulationConfig(replications=v, seed=0, spec=_SPEC)
-        ),
-    ],
-    ids=["apply_to_distribution.k", "estimate_error.replications"],
+    "value", list(_POSITIVE.values()), ids=[f"estimate_error.replications-{k}" for k in _POSITIVE]
 )
-def test_huge_int_above_a_resource_cap_is_budget_overflow(call, value):
-    # Refused at once, by bit length: not a loop of 10**400 steps, nor an
-    # allocation of that many doubles.
+def test_huge_int_above_a_resource_cap_is_budget_overflow(value):
+    # Refused at once, by bit length: not an allocation of that many doubles.
+    config = mc.SimulationConfig(replications=value, seed=0, spec=_SPEC)
     message = r"at most 134217728, got an integer of \d+ bits$"
     with pytest.raises(BudgetOverflow, match=message) as err:
-        call(value)
+        mc.estimate_error(_FAIR, [1.0, 0.0], [1.0, 0.0], config)
     assert len(str(err.value)) < 120
