@@ -315,7 +315,8 @@ def step_oracle(u, cdf_rows) -> np.ndarray:
 
     ``cdf_rows`` holds one saturated CDF row per uniform, or one row shared
     by all; this R x d gather-compare-sum is what ``_step``'s bisection
-    must reproduce.
+    must reproduce, and with it the simulation's bucket-table lookup,
+    which ``_step`` both defines and resolves where a bucket is impure.
     """
     return (u[:, None] >= cdf_rows).sum(axis=1)
 
@@ -324,9 +325,10 @@ def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     """Sample one trajectory of the given length, X_1 ~ nu.
 
     Consumes exactly ``length`` uniforms from ``rng_stream`` (a numpy
-    Generator), one per state, and takes each state by the sampler step of
-    ``mc.estimate_error`` from the start distribution resp. the current
-    transition row.
+    Generator), one per state, and takes each state by the bisection that
+    defines ``mc.estimate_error``'s step, from the start distribution resp.
+    the current transition row.  The simulation's bucket table selects the
+    same states, falling back on that bisection where a bucket is impure.
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")

@@ -384,6 +384,20 @@ def test_simulate_check_small(capsys):
         assert case["tightest_bound"] >= case["mse_hat"] - 4.0 * case["std_error"]
 
 
+# SHA-256 of repr([(mse_hat, std_error), ...]) over the 18 cases of
+# `simulate-check --json --replications 20000`: the seeded simulation keeps
+# its bits.  exact_mse and tightest_bound go through LAPACK, whose last bits
+# may differ between BLAS builds, so they are not pinned.
+GOLDEN_SIMULATION = "f72662cbf78920c27e4584b25ba9e4c3f42242d3b05d66f88a2919b33f823f8b"
+
+
+def test_simulate_check_keeps_its_simulated_bits(capsys):
+    code, doc = run_json(capsys, ["simulate-check", "--replications", "20000", "--json"])
+    assert code == 0 and len(doc["results"]) == 18
+    pairs = repr([(case["mse_hat"], case["std_error"]) for case in doc["results"]])
+    assert hashlib.sha256(pairs.encode()).hexdigest() == GOLDEN_SIMULATION
+
+
 def _refuse_constant(name):
     raise AssertionError(f"{name} is not JSON")
 

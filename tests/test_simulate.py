@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify import simulate
 from mcmc_certify.errors import BudgetOverflow
-from mcmc_certify.simulate import _cdf, _step
+from mcmc_certify.simulate import _bucket_table, _cdf, _step, _thresholds
 
-from chain_strategies import sample_trajectory, step_oracle
+from chain_strategies import metropolis_chain, sample_trajectory, step_oracle
 
 
 def test_config_validation():
@@ -133,6 +133,40 @@ def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
                     assert (rep.mse_hat, rep.std_error) == expected, (chain, spec, k, batch_elems)
 
 
+def _chain(kind, d):
+    if kind == "metropolis":
+        return metropolis_chain(np.linspace(1.0, 3.0, d))
+    return mc.build_chain(mc.birth_death_matrix(np.linspace(0.2, 0.4, d - 1), np.full(d - 1, 0.3)))
+
+
+@pytest.mark.parametrize(
+    "kind,d",
+    [("birth_death", 3), ("birth_death", 4), ("birth_death", 64), ("birth_death", 65),
+     ("metropolis", 64)],
+)
+def test_replay_matches_on_both_sides_of_the_table_rule(kind, d, monkeypatch):
+    """The bucket table (4 <= d <= 64) and bisection (d = 3, 65) give the replay's bits.
+
+    The Metropolis chain's rows have 63 breakpoints each, so its impure
+    buckets send a few percent of the uniforms to the resolving bisection.
+    """
+    chain = _chain(kind, d)
+    nu = np.full(d, 1.0 / d)
+    f = np.arange(d, dtype=np.float64) ** 2
+    assert (_bucket_table(_thresholds(_cdf(chain.P)), f) is None) == (d in (3, 65))
+    R, seed = 300, 123
+    default = simulate._BATCH_ELEMS
+    for spec in (mc.EstimatorSpec(n=4, n0=3), mc.EstimatorSpec(n=5, n0=0)):
+        config = mc.SimulationConfig(replications=R, seed=seed, spec=spec)
+        expected = _replay(chain, nu, f, spec, R, seed)
+        for k in (1, 2, 3):
+            _force_workers(monkeypatch, k)
+            for batch_elems in (default, 43 * spec.total, spec.total - 2):
+                monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
+                rep = mc.estimate_error(chain, nu, f, config)
+                assert (rep.mse_hat, rep.std_error) == expected, (d, spec, k, batch_elems)
+
+
 def test_staged_pieces_shorter_than_a_replication(bd3, monkeypatch):
     # A staging buffer of 3 uniforms cuts every replication of 9 steps into
     # segments of 3; one of 64 holds 7 whole replications.
@@ -177,6 +211,9 @@ def test_positioned_generator_continues_the_stream(offset):
         reference = np.random.Generator(np.random.Philox(key=seed, counter=counter))
         expected = reference.random(offset % 4 + 9)[offset % 4 :]
     assert np.array_equal(simulate._positioned(seed, offset).random(9), expected)
+    # The simulation reads each uniform as its integer j = raw >> 11.
+    raw = simulate._positioned(seed, offset).bit_generator.random_raw(9)
+    assert np.array_equal((raw >> 11) * 2.0**-53, expected)
 
 
 def test_worker_exception_propagates_and_no_thread_outlives_the_call(two_state, monkeypatch):
@@ -227,6 +264,25 @@ def test_memory_of_four_workers_stays_within_the_budget(two_state, monkeypatch):
     assert peak < 24 * 2**20, peak
 
 
+def test_memory_on_the_table_path_stays_within_the_budget_and_the_table(monkeypatch):
+    # d = 64 takes the largest bucket table, 2 MiB, beside the 24 MiB above;
+    # the two workers' walk rows share the column budget.
+    _force_workers(monkeypatch, 2)
+    chain = _chain("birth_death", 64)
+    f = np.arange(64.0)
+    assert _bucket_table(_thresholds(_cdf(chain.P)), f)[0].nbytes * 2 == simulate._TABLE_BYTES
+    config = mc.SimulationConfig(
+        replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
+    )
+    tracemalloc.start()
+    try:
+        mc.estimate_error(chain, np.eye(64)[0], f, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20 + simulate._TABLE_BYTES, peak
+
+
 def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
     """Saturated CDF rows with zero entries and row sums of 1 + tol_units * ROW_TOL.
 
@@ -244,8 +300,8 @@ def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
 
 
 @st.composite
-def _cdf_tables(draw):
-    d = draw(st.integers(min_value=1, max_value=700))
+def _cdf_tables(draw, min_d=1, max_d=700):
+    d = draw(st.integers(min_value=min_d, max_value=max_d))
     return _cdf_table(
         d,
         rows=draw(st.integers(min_value=1, max_value=6)),
@@ -273,6 +329,66 @@ def test_bisection_step_equals_the_counting_oracle(table):
     # The start draw: one row shared by every uniform.
     start = np.zeros(u.size, dtype=np.intp)
     assert np.array_equal(_step(u, cdf[0], start), step_oracle(u, cdf[0]))
+
+
+def _dyadic_table():
+    # Every CDF value is a multiple of 1/8, so every threshold lies on a
+    # bucket edge; the first row also has a trailing zero-probability state.
+    weights = np.array([[0.25, 0.25, 0.5, 0.0], [0.125, 0.0, 0.375, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    return _cdf(weights), np.random.default_rng(5)
+
+
+@given(_cdf_tables(min_d=4, max_d=64))
+@example(_dyadic_table())
+@example(_cdf_table(4, 1, 0, 0.0, 0, False, 0.0))
+@example(_cdf_table(64, 6, 2, 0.95, 10, True, 1.0))
+@example(_cdf_table(64, 6, 3, 0.0, 0, False, -1.0))
+@example(_cdf_table(40, 6, 4, 0.5, 0, True, 0.5))
+def test_bucket_table_step_equals_the_counting_oracle(table):
+    cdf, rng = table
+    rows, d = cdf.shape
+    thresholds = _thresholds(cdf)
+    f = rng.random(d)
+    nxt, fnext, bits = _bucket_table(thresholds, f)
+    shift = 53 - bits
+    # Random j, the extremes, both sides of every bucket edge, and every
+    # threshold below 2**53 with the j just below it (exact ties).
+    edges = np.arange(1, 1 << bits, dtype=np.int64) << shift
+    ties = thresholds[thresholds < 2**53]
+    j = np.concatenate(
+        [rng.integers(2**53, size=200), [0, 2**53 - 1], edges, edges - 1, ties, ties - 1]
+    )
+    j = j[j >= 0]
+    states = rng.integers(rows, size=j.size)
+    expected = step_oracle(j * 2.0**-53, cdf[states])
+    # The table step: one lookup at (state, bucket of j), and a bisection
+    # where the bucket is impure.
+    ix = (states << bits) + (j >> shift)
+    pure = nxt[ix] >= 0
+    assert np.array_equal(nxt[ix[pure]] >> bits, expected[pure])
+    assert np.array_equal(fnext[ix[pure]], f[expected[pure]])
+    assert np.array_equal(_step(j[~pure], thresholds, states[~pure]), expected[~pure])
+    # Each breakpoint makes at most one bucket impure.
+    assert np.all((nxt.reshape(rows, -1) < 0).sum(axis=1) <= d - 1)
+
+
+def test_thresholds_on_bucket_edges_leave_every_bucket_pure():
+    cdf, _ = _dyadic_table()
+    nxt, _, bits = _bucket_table(_thresholds(cdf), np.arange(4.0))
+    assert bits == 7 and np.all(nxt >= 0)
+
+
+@given(_cdf_tables())
+@example(_dyadic_table())
+def test_integer_thresholds_compare_as_the_uniforms_do(table):
+    # ceil(c 2**53) <= j exactly when c <= j 2**-53, at every CDF value c,
+    # its float neighbours, and the j around c 2**53.
+    cdf, _ = table
+    c = cdf.ravel()
+    c = np.concatenate([c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)])
+    near = np.floor(c * 2.0**53).astype(np.int64)[:, None] + np.arange(-1, 3)
+    j = np.clip(near, 0, 2**53 - 1)
+    assert np.array_equal(_thresholds(c)[:, None] <= j, c[:, None] <= j * 2.0**-53)
 
 
 def test_sample_trajectory_consumes_one_uniform_per_state(bd3):
