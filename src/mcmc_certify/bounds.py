@@ -117,6 +117,15 @@ def _one_minus_root(b: float) -> float:
     return (1.0 - b) / (1.0 + math.sqrt(b))
 
 
+def _squared(x: float) -> float:
+    """``x ** 2``, or ``inf`` where the Python float power raises on overflow
+    (numpy's products overflow to ``inf`` on the other routes)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _from_start(aggregate, b: float, n: int) -> float:
     """An aggregate with exponents shifted to start at zero: ``aggregate(b, n)/b``."""
     return aggregate(b, n) / b if b > 0.0 else 1.0
@@ -279,7 +288,7 @@ def bound_theorem(
         norm_sq = weighted_norm(f, chain.pi, 4) ** 2
         corr_const = 16.0 * _SQRT2 * root_c / ((1.0 - beta) * _one_minus_root(beta))
     else:
-        norm_sq = weighted_norm(f, chain.pi, np.inf) ** 2
+        norm_sq = _squared(weighted_norm(f, chain.pi, np.inf))
         corr_const = 4.0 * root_c / (1.0 - beta) ** 2
 
     leading = 2.0 * norm_sq / (n_f * (1.0 - beta1))

@@ -220,11 +220,12 @@ def _chunk_sums(
 
     ``columns`` holds a batch of whole replications as integer uniforms,
     one time step per contiguous row.  With a ``table`` from
-    :func:`_bucket_table`, a step is one lookup: ``walk[0]`` takes the
-    index of (state, bucket of j), ``walk[1]`` the next state times
-    2**bits and ``fv`` its f, and :func:`_step` resolves the impure
-    buckets.  Without one, each step is a bisection.  Stops early once
-    another chunk has put an exception in ``failed``.
+    :func:`_bucket_table`, a step is one lookup: the spent row of
+    uniforms ``j[t-1]`` takes the index of (state, bucket of j), ``walk``
+    the next state times 2**bits and ``fv`` its f, and :func:`_step`
+    resolves the impure buckets from ``j[t]``.  Without one, each step is
+    a bisection.  Stops early once another chunk has put an exception in
+    ``failed``.
     """
     length, batch = columns.shape
     for lo in range(0, sums.size, batch):
@@ -244,9 +245,10 @@ def _chunk_sums(
                     out += f[states]
             continue
         nxt, fnext, bits = table
-        ix, cur, value = walk[0, :count], walk[1, :count], fv[:count]
+        cur, value = walk[:count], fv[:count]
         np.left_shift(states, bits, out=cur)
         for t in range(1, length):
+            ix = j[t - 1]
             np.right_shift(j[t], _UNIFORM_BITS - bits, out=ix)
             ix += cur
             np.take(nxt, ix, out=cur, mode="clip")
@@ -274,7 +276,7 @@ def _window_sums(seed: int, row_cdf, nu_cdf, f, n0: int, length: int, R: int) ->
     k is at most the usable cores and small enough that every worker has
     ``_MIN_ROWS`` replications and room for as many in its share of the
     ``_BUFFER_ELEMS`` budget, which holds each replication's uniforms and,
-    on the table path, its three walk words.  Chunk i, rows
+    on the table path, its two walk words.  Chunk i, rows
     ``[i R // k, (i+1) R // k)``, gets its own generator positioned at its
     first row, so the split changes no draw.  The caller builds the bucket
     table, allocates every buffer but the drawn pieces, runs chunk 0
@@ -282,7 +284,7 @@ def _window_sums(seed: int, row_cdf, nu_cdf, f, n0: int, length: int, R: int) ->
     exception a chunk raised; with k = 1 no thread starts.
     """
     table = _bucket_table(row_cdf, f)
-    words = length + 3 * (table is not None)  # a replication's uniforms and walk
+    words = length + 2 * (table is not None)  # a replication's uniforms and walk
     k = max(1, min(_usable_cores(), R // _MIN_ROWS, _BUFFER_ELEMS // (_MIN_ROWS * words)))
     batch = min(-(-R // k), max(1, min(_BATCH_ELEMS, _BUFFER_ELEMS // k) // words))
     stage = min(_STAGE_ELEMS, batch * length)
@@ -293,7 +295,7 @@ def _window_sums(seed: int, row_cdf, nu_cdf, f, n0: int, length: int, R: int) ->
         lo, hi = i * R // k, (i + 1) * R // k
         walk = fv = None
         if table is not None:
-            walk, fv = np.empty((2, batch), dtype=np.int64), np.empty(batch)
+            walk, fv = np.empty(batch, dtype=np.int64), np.empty(batch)
         tasks.append(functools.partial(
             _chunk_sums, _positioned(seed, lo * length),
             np.empty((length, batch), dtype=np.int64), walk, fv, stage,
@@ -329,8 +331,9 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     seven numpy calls over the batch for 4 <= d <= 64, whatever d is, and
     a bisection of ceil(log2(d-1)) rounds otherwise.  Memory is at most
     16 MiB of column and walk buffers (or one replication, if longer),
-    128 KiB of drawn uniforms per worker, a few doubles per replication
-    and, for 4 <= d <= 64, a bucket table of at most 2 MiB.  ``std_error``
+    128 KiB of drawn uniforms per worker, a few doubles per replication,
+    the d x d CDF and threshold rows (16 d**2 bytes) and, for
+    4 <= d <= 64, a bucket table of at most 2 MiB.  ``std_error``
     is the sample standard deviation of the squared errors divided by
     sqrt(R).  Raises :class:`BudgetOverflow` before anything is allocated
     if one replication takes more than 2**27 uniforms or R exceeds 2**27.

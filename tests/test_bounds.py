@@ -287,3 +287,27 @@ def test_invalid_norm_kind(two_state):
         mc.bound_theorem(
             two_state, [1.0, 0.0], [1.0, 0.0], mc.EstimatorSpec(n=1, n0=0), "l3"
         )
+
+
+@pytest.mark.parametrize("kind", mc.NORM_KINDS)
+def test_bounds_of_a_huge_function_are_inf_on_every_route(suite, kind):
+    # ||f||_inf = 5e160: its square overflows on all six routes, and each
+    # returns inf, which is still an upper bound, instead of raising.
+    chain = suite["birth_death_six"]
+    nu, f = np.eye(6)[0], 1e160 * np.arange(6.0)
+    spec = mc.EstimatorSpec(n=100, n0=5)
+    with np.errstate(over="ignore"):
+        for route in (mc.bound_theorem, mc.bound_general_start):
+            report = route(chain, nu, f, spec, kind)
+            assert math.isinf(report.total) and report.total > 0.0, (route, kind)
+
+
+def test_sup_norm_bound_squares_as_before_below_overflow(suite):
+    # Just below the overflow the closed-form sup-norm route still takes
+    # the Python float square of ||f||_inf.
+    chain = suite["birth_death_six"]
+    sup = 1e154
+    f = sup / 5.0 * np.arange(6.0)
+    report = mc.bound_theorem(chain, np.eye(6)[0], f, mc.EstimatorSpec(n=100, n0=5), "linf")
+    beta1 = report.constants.beta1
+    assert report.leading_term == 2.0 * sup**2 / (100.0 * (1.0 - beta1))

@@ -266,6 +266,22 @@ def test_exit_code_replication_cap(capsys, chain_file):
     assert "BudgetOverflow: replications must be at most" in capsys.readouterr().err
 
 
+def test_error_of_a_huge_function_reports_inf_bounds(capsys, tmp_path):
+    # ||f||_inf = 5e160: every bound overflows to inf, printed as null, and
+    # the verb exits 0 instead of ending in a traceback.
+    chain = mc.validation_suite()["birth_death_six"]
+    doc = {"P": np.asarray(chain.P).tolist(), "nu": np.eye(6)[0].tolist(),
+           "f": (1e160 * np.arange(6.0)).tolist()}
+    path = tmp_path / "huge_f.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        code, out = run_json(capsys, ["error", str(path), "100", "5", "--json"])
+    assert code == 0
+    for kind in mc.NORM_KINDS:
+        for route in ("theorem", "general"):
+            assert out["bounds"][kind][route]["total"] is None, (kind, route)
+
+
 def test_exit_code_trapped_start(capsys, tmp_path):
     # The start holds pi = 1e-30 and keeps the chain for 1e6 steps on
     # average; a window past the 4096 exact steps is refused.

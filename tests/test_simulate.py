@@ -283,6 +283,26 @@ def test_memory_on_the_table_path_stays_within_the_budget_and_the_table(monkeypa
     assert peak < 24 * 2**20 + simulate._TABLE_BYTES, peak
 
 
+def test_memory_of_short_windows_on_the_table_path(monkeypatch):
+    # With n + n0 = 4, R / 2 rather than the budget sets each worker's batch
+    # of 150,000 rows: the columns, the next-state row and the f row take
+    # 14.4 MB, the table 2 MiB and the R sums 2.4 MB, beside the first
+    # step's temporaries.  The index of each lookup goes into the spent row
+    # of uniforms; a third walk row of its own would add 2.3 MiB (30 MiB).
+    _force_workers(monkeypatch, 2)
+    chain = _chain("birth_death", 64)
+    config = mc.SimulationConfig(
+        replications=300_000, seed=3, spec=mc.EstimatorSpec(n=2, n0=2)
+    )
+    tracemalloc.start()
+    try:
+        mc.estimate_error(chain, np.eye(64)[0], np.arange(64.0), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 29 * 2**20, peak
+
+
 def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
     """Saturated CDF rows with zero entries and row sums of 1 + tol_units * ROW_TOL.
 
