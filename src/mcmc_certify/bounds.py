@@ -244,7 +244,10 @@ def bound_general_start(
         factor = math.sqrt(constants.C_density)
         norms = weighted_norm(g, chain.pi, np.inf) * weighted_norm(g, chain.pi, 2)
 
-    correction = aggregate * penalty * factor * norms / (float(n) * float(n))
+    # A start at pi carries no penalty, also where the norms overflow to inf.
+    correction = (
+        aggregate * penalty * factor * norms / (float(n) * float(n)) if factor else 0.0
+    )
     return BoundReport(
         norm_kind=norm_kind,
         leading_term=leading,
@@ -292,7 +295,7 @@ def bound_theorem(
         corr_const = 4.0 * root_c / (1.0 - beta) ** 2
 
     leading = 2.0 * norm_sq / (n_f * (1.0 - beta1))
-    correction = corr_const * penalty * norm_sq / (n_f * n_f)
+    correction = corr_const * penalty * norm_sq / (n_f * n_f) if root_c else 0.0
     return BoundReport(
         norm_kind=norm_kind,
         leading_term=leading,

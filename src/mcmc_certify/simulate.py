@@ -118,6 +118,16 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.int64)
 
 
+def _start_row(cdf: np.ndarray) -> np.ndarray:
+    """The start's threshold row, sorted for ``np.searchsorted``.
+
+    Clipping at 2**53 lowers only an excursion above 1 before the saturated
+    tail, which no j < 2**53 reaches, so a search for j selects the state
+    that :func:`_step` does, with one index array as its only temporary.
+    """
+    return np.minimum(_thresholds(cdf), 2**_UNIFORM_BITS)
+
+
 def _step(u: np.ndarray, cdf: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw: the state that uniform ``u[i]`` selects from row ``states[i]``.
 
@@ -219,7 +229,8 @@ def _chunk_sums(
     """Window sums of one chunk of replications, written into ``sums``.
 
     ``columns`` holds a batch of whole replications as integer uniforms,
-    one time step per contiguous row.  With a ``table`` from
+    one time step per contiguous row.  The first step searches the start's
+    row ``nu_cdf`` from :func:`_start_row`.  With a ``table`` from
     :func:`_bucket_table`, a step is one lookup: the spent row of
     uniforms ``j[t-1]`` takes the index of (state, bucket of j), ``walk``
     the next state times 2**bits and ``fv`` its f, and :func:`_step`
@@ -235,7 +246,7 @@ def _chunk_sums(
         count = out.size
         j = columns[:, :count]
         _draw(generator, j, stage)
-        states = _step(j[0], nu_cdf, np.zeros(count, dtype=np.intp))
+        states = np.searchsorted(nu_cdf, j[0], side="right")
         if n0 == 0:
             out += f[states]
         if table is None:
@@ -354,7 +365,7 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     f = _check_length(chain, f, "function")
 
     deviations = _window_sums(
-        int(config.seed), _thresholds(_cdf(chain.P)), _thresholds(_cdf(nu)), f, n0, length, R
+        int(config.seed), _thresholds(_cdf(chain.P)), _start_row(_cdf(nu)), f, n0, length, R
     )
     deviations /= n  # in place: window averages, then their deviations
     deviations -= mean_value(f, chain.pi)

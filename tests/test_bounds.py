@@ -290,16 +290,24 @@ def test_invalid_norm_kind(two_state):
 
 
 @pytest.mark.parametrize("kind", mc.NORM_KINDS)
-def test_bounds_of_a_huge_function_are_inf_on_every_route(suite, kind):
-    # ||f||_inf = 5e160: its square overflows on all six routes, and each
-    # returns inf, which is still an upper bound, instead of raising.
-    chain = suite["birth_death_six"]
-    nu, f = np.eye(6)[0], 1e160 * np.arange(6.0)
+@pytest.mark.parametrize("chain_name, at_pi", [("birth_death_six", False), ("ring_five_lazy", True)])
+def test_bounds_of_a_huge_function_are_inf_on_every_route(suite, kind, chain_name, at_pi):
+    # ||f||_inf is near 5e160: its square overflows on all six routes, and
+    # each returns inf, which is still an upper bound, instead of raising.
+    # Started at pi (C_density = 0, exact on the ring) the penalty is 0, not
+    # 0 * inf = nan.
+    chain = suite[chain_name]
+    d = chain.pi.size
+    nu = chain.pi if at_pi else np.eye(d)[0]
+    f = 1e160 * np.arange(float(d))
     spec = mc.EstimatorSpec(n=100, n0=5)
     with np.errstate(over="ignore"):
         for route in (mc.bound_theorem, mc.bound_general_start):
             report = route(chain, nu, f, spec, kind)
             assert math.isinf(report.total) and report.total > 0.0, (route, kind)
+            if at_pi:
+                assert report.constants.C_density == 0.0
+                assert report.correction_term == 0.0, (route, kind)
 
 
 def test_sup_norm_bound_squares_as_before_below_overflow(suite):

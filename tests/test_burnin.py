@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
@@ -493,10 +493,11 @@ class _CountingMath:
 def test_optimize_evaluation_count(N, kind, monkeypatch):
     """At most 8 Newton steps to the stationary point, from either start.
 
-    Each step evaluates the stationary equation once, with one log, and the logs before the loop do not depend on
-    N.  At N = 2**53 and beta = 0.5, u starts at Q ~ 6e15, whose first step
-    (2/Q) is under a split, so that query takes one step; the difference in
-    logs counts the steps after the first.
+    Each step evaluates the stationary equation once, with one log, and the
+    logs before the loop do not depend on N.  At N = 2**53 and beta = 0.5,
+    u starts at Q ~ 6e15, whose residual (about 2/Q) is under a split, so
+    that query takes one step; the difference in logs counts the steps
+    after the first.
     """
     counter = _CountingMath()
     monkeypatch.setattr(burnin, "math", counter)
@@ -565,14 +566,19 @@ def neighbourhood_minimum(query, n0, kind, span):
     log10_C=st.floats(min_value=-5.0, max_value=308.0),
 )
 @settings(max_examples=150)
+@example(log10_N=12.60508278167793, beta=0.9999999999937673, log10_C=224.5415477860729)
 def test_optimize_beyond_1e7_is_within_rounding_of_the_minimum(log10_N, beta, log10_C):
     """Beyond N = 1e7 the rounding ties can outgrow the window, and the plan
     may pick another split in the flat band.  Its bound is within 2e-15
     relative of the minimum over 2e4 splits either side of it and of the
-    golden-section search's split.  (It is not always at or below the
-    search's bound: on 1 of 1500 random queries, for both kinds, it came
-    out 3 ulp above it, at a split 15,273 away.)"""
+    golden-section search's split, plus the rounding of the log-space
+    correction, whose terms reach |log C| + n0 |log beta|: in the example,
+    C = 3.5e224 quantizes the bound in steps of 2.8e-14, and the plan and
+    the search both land one step above that minimum.  (The plan is not
+    always at or below the search's bound: on 1 of 1500 random queries,
+    for both kinds, it came out 3 ulp above it, at a split 15,273 away.)"""
     query = mc.BudgetQuery(N=min(2**53, int(10.0**log10_N)), beta=beta, C=10.0**log10_C)
+    lb = -math.log(beta) if beta > 0.0 else 0.0
     for kind in mc.BOUND_KINDS:
         plan = mc.optimize_burnin(query, kind)
         search_n0, _ = array_optimize_burnin(query, kind)
@@ -580,7 +586,8 @@ def test_optimize_beyond_1e7_is_within_rounding_of_the_minimum(log10_N, beta, lo
             neighbourhood_minimum(query, plan.n0, kind, 20_000),
             neighbourhood_minimum(query, search_n0, kind, 20_000),
         )
-        assert plan.bound_value <= best * (1.0 + 2e-15), (query, kind)
+        quantum = 2.0**-52 * (abs(math.log(query.C)) + plan.n0 * lb)
+        assert plan.bound_value <= best * (1.0 + 2e-15 + quantum), (query, kind)
 
 
 @pytest.mark.parametrize("kind", mc.BOUND_KINDS)
@@ -633,6 +640,22 @@ def test_optimize_inf_at_both_ends_finds_finite_middle(kind):
 )
 def test_optimize_edge_cases_match_scan(N, beta, C, kind):
     assert_matches_scan(mc.BudgetQuery(N=N, beta=beta, C=C), kind)
+
+
+@pytest.mark.parametrize("kind", mc.BOUND_KINDS)
+@pytest.mark.parametrize(
+    "N, beta",
+    [(10_000, 0.999), (30_000, 0.999), (100_000, 0.9999), (3_000_000, 1.0 - 1e-6)],
+)
+@pytest.mark.parametrize("Q", [1e-8, 1e-5, 0.5])
+def test_optimize_small_positive_q_matches_scan(N, beta, Q, kind):
+    """For 0 < Q << 1 the stationary equation's root sits near u = 1, far
+    from u = Q, where a first Newton step is shorter than one split.  C is
+    chosen so that the right side of the equation takes the value Q."""
+    lb = -math.log(beta)
+    a = N * lb - 2.0 - math.log(lb) - Q
+    log_c = a - burnin._log_k(beta, kind) - math.log(1.0 - beta) + math.log(2.0)
+    assert_matches_scan(mc.BudgetQuery(N=N, beta=beta, C=math.exp(log_c)), kind)
 
 
 def test_optimize_matches_scan_on_reproduction_inputs():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify import simulate
 from mcmc_certify.errors import BudgetOverflow
-from mcmc_certify.simulate import _bucket_table, _cdf, _step, _thresholds
+from mcmc_certify.simulate import _bucket_table, _cdf, _start_row, _step, _thresholds
 
 from chain_strategies import metropolis_chain, sample_trajectory, step_oracle
 
@@ -285,10 +285,12 @@ def test_memory_on_the_table_path_stays_within_the_budget_and_the_table(monkeypa
 
 def test_memory_of_short_windows_on_the_table_path(monkeypatch):
     # With n + n0 = 4, R / 2 rather than the budget sets each worker's batch
-    # of 150,000 rows: the columns, the next-state row and the f row take
-    # 14.4 MB, the table 2 MiB and the R sums 2.4 MB, beside the first
-    # step's temporaries.  The index of each lookup goes into the spent row
-    # of uniforms; a third walk row of its own would add 2.3 MiB (30 MiB).
+    # of 150,000 rows: 4 rows of uniforms, the next-state row, the f row and
+    # the first step's one index row, beside the table and the R sums, with
+    # 1 MiB for the rest (20.5 MiB measured against 20.3 accounted).  The
+    # index of each lookup goes into the spent row of uniforms; a walk row
+    # of its own, or the first step's bisection temporaries, would add 2.3
+    # MiB or more.
     _force_workers(monkeypatch, 2)
     chain = _chain("birth_death", 64)
     config = mc.SimulationConfig(
@@ -300,7 +302,8 @@ def test_memory_of_short_windows_on_the_table_path(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 29 * 2**20, peak
+    accounted = 2 * 150_000 * (4 + 2 + 1) * 8 + simulate._TABLE_BYTES + 300_000 * 8
+    assert peak < accounted + 2**20, peak
 
 
 def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
@@ -349,6 +352,24 @@ def test_bisection_step_equals_the_counting_oracle(table):
     # The start draw: one row shared by every uniform.
     start = np.zeros(u.size, dtype=np.intp)
     assert np.array_equal(_step(u, cdf[0], start), step_oracle(u, cdf[0]))
+
+
+@given(_cdf_tables(max_d=64))
+@example(_cdf_table(1, 1, 0, 0.0, 0, False, 0.0))
+@example(_cdf_table(64, 6, 2, 0.95, 10, True, 1.0))
+@example(_cdf_table(40, 6, 4, 0.5, 0, True, 0.5))
+def test_start_draw_search_equals_the_counting_oracle(table):
+    # The clipped row is sorted even where the running sum passes 1 before
+    # the saturated tail, and a search of it selects the oracle's state.
+    cdf, rng = table
+    for row in cdf:
+        start = _start_row(row)
+        assert np.all(np.diff(start) >= 0)
+        ties = _thresholds(row)[row < 1.0]
+        j = np.concatenate([rng.integers(2**53, size=200), [0, 2**53 - 1], ties, ties - 1])
+        j = j[j >= 0]
+        expected = step_oracle(j * 2.0**-53, row)
+        assert np.array_equal(np.searchsorted(start, j, side="right"), expected)
 
 
 def _dyadic_table():
