@@ -23,6 +23,9 @@ unaffected.
 Both families take their start constants from here: :func:`density_ratio_bound`
 (``C_density``) and :func:`mass_floor_bound` (``C_pi``); :func:`chi2_contrast`
 of the start against ``pi`` is reported beside them.
+
+A function whose squared norms overflow float64 gets the bound ``inf``,
+which is still an upper bound, and no floating-point warning.
 """
 
 from __future__ import annotations
@@ -204,6 +207,7 @@ def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind:
     return nu, f, dec, constants
 
 
+@np.errstate(over="ignore")  # an overflow's inf is the bound
 def bound_general_start(
     chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str
 ) -> BoundReport:
@@ -257,6 +261,7 @@ def bound_general_start(
     )
 
 
+@np.errstate(over="ignore")  # an overflow's inf is the bound
 def bound_theorem(
     chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str
 ) -> BoundReport:

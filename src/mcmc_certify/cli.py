@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 simulate-check found a failing case, 2 validation
 error (including a count -- window, burn-in, budget, exponent -- above
 2**53), 3 resource cap (``TooLarge``: a chain of more than 4096 states;
 ``BudgetOverflow``: a simulated replication longer than 2**27 steps, more
-than 2**27 replications, or an exact error whose start stays trapped), 4 I/O
-error.
+than 2**27 replications, an exact error whose start stays trapped, or an
+exact error that overflows float64), 4 I/O error.
 Machine output: ``--json`` dumps a schema-stable JSON document (non-finite
 floats as ``null``); CSV files use shortest-round-trip float formatting, so
 they are bit-stable across platforms.

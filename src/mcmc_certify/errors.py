@@ -61,7 +61,8 @@ class BudgetOverflow(ChainError):
     :func:`~mcmc_certify.exact_error.exact_error_naive` when its walk would
     take more than 2**27 steps, and by
     :func:`~mcmc_certify.exact_error.exact_error` when the start is still
-    concentrated on states of small pi after 4096 exact steps.
+    concentrated on states of small pi after 4096 exact steps or when the
+    MSE overflows float64.
     """
 
 

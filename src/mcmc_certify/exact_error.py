@@ -140,8 +140,12 @@ def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     return float(np.dot(a * a, weights)) / (float(n) * float(n))
 
 
+@np.errstate(over="ignore")  # inf where the sum overflows float64
 def asymptotic_constant(chain: ReversibleChain, f) -> float:
-    """Limit of ``n * mse``: ``sum_{k>=1} a_k^2 (1 + lam_k) / (1 - lam_k)``."""
+    """Limit of ``n * mse``: ``sum_{k>=1} a_k^2 (1 + lam_k) / (1 - lam_k)``.
+
+    ``inf`` where the sum overflows float64.
+    """
     f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]
@@ -149,6 +153,7 @@ def asymptotic_constant(chain: ReversibleChain, f) -> float:
     return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite MSE is refused instead
 def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErrorReport:
     """Exact MSE of the burn-in estimator, with its decomposition.
 
@@ -170,7 +175,8 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     the eigenpair sums.
 
     Raises :class:`BudgetOverflow` if the start is still concentrated on
-    states of small pi after 4096 steps and the window goes on beyond them.
+    states of small pi after 4096 steps and the window goes on beyond them,
+    or if the MSE is not finite in float64 (f too large to square).
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
@@ -219,8 +225,11 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     corr_diag = diagonal / n2
     corr_cross = 2.0 * cross / n2
     correction = corr_diag + corr_cross
+    mse = stationary + correction
+    if not np.isfinite(mse):
+        raise BudgetOverflow(f"the exact MSE overflows float64 (it comes out {mse!r})")
     return ExactErrorReport(
-        mse=stationary + correction,
+        mse=mse,
         stationary_mse=stationary,
         correction=correction,
         correction_diagonal=corr_diag,

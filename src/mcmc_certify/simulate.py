@@ -20,22 +20,24 @@ Memory is therefore O(budget + R), and the result is a pure function of
 evaluation order, BLAS threading or platform, which is what lets tests pin
 it to exact values.
 
-A step is an inverse-CDF draw.  For 4 <= d <= 64 it is one lookup in a
-table of (state, bucket of j) -> next state, of 16 d 2**bits bytes with
-2**bits >= 32 (d-1) buckets a row (2 MiB at d = 64), the indexed search of
-Chen and Asau (AIIE Trans. 6, 1974; Devroye 1986, III.2.4): seven numpy
-calls over the batch whatever d is, with a bisection for the few uniforms
-whose bucket straddles a CDF breakpoint.  Otherwise it is a branchless
-bisection over the CDF rows, O(R log d).  numpy releases the GIL inside
-these calls and inside Philox's fills, so the workers run side by side.
+Every step, the start draw included, is one inverse-CDF rule, the indexed
+search of Chen and Asau (AIIE Trans. 6, 1974; Devroye 1986, III.2.4): the
+CDF thresholds lie over each row's support, nu's as one more row, and a
+guide of 2**bits buckets a row gives the position from which
+ceil(log2(w+1)) branchless compares end the search, w being the most
+breakpoints a bucket holds.  The table takes O(nnz(P) + d 2**bits) words.
+A step is a fixed handful of numpy calls over the batch, which release the
+GIL as Philox's fills do, so the workers run side by side.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,7 @@ from .chain import ReversibleChain, _check_length, as_distribution, mean_value
 from .errors import BudgetOverflow, _check_int, _shown
 from .exact_error import _WALK_CAP, EstimatorSpec
 
-__all__ = [
-    "SimulationConfig",
-    "EmpiricalErrorReport",
-    "estimate_error",
-]
+__all__ = ["SimulationConfig", "EmpiricalErrorReport", "estimate_error"]
 
 # Column-buffer uniforms of all workers together (16 MiB), and of one worker
 # (8 MiB), rounded down to whole replications.
@@ -58,15 +56,16 @@ _STAGE_ELEMS = 1 << 14
 # Philox's uniform is (raw >> 11) 2**-53: the walk runs on the integer
 # j = raw >> 11 in [0, 2**53) against CDF rows scaled by 2**53.
 _UNIFORM_BITS = 53
-# Most bytes of bucket table, 16 a bucket: d <= 64.  At d = 128 the 8 MiB
-# table took 22-32 ms to build, and on a dense chain it gained 4% on
-# 30000-row batches and lost 4% on 953-row ones.
+_ONE = 1 << _UNIFORM_BITS
+# Most bytes of guide, 8 a bucket: it sets the buckets a row, the most that
+# fit or fewer where fewer take no more bisection rounds.
 _TABLE_BYTES = 1 << 21
 # Fewest replications per worker, in its chunk and in its batch.  Numpy calls
 # on fewer rows hand the GIL back and forth more than they run apart: on two
-# cores, with the table step at d = 5, 10 and 50, two workers were 3-56%
-# slower than one at 2000-6000 rows each, won 9 of 10 pairs at 8000 for
-# d = 5 and 50 but 2 of 10 for d = 10, and were 14-22% faster at 12000.
+# cores, with the guide step on birth-death chains of d = 5, 10 and 50 and
+# windows of 100, two workers were 18-38% slower than one at 4000-6000 rows
+# each, about even at 8192 (winning 0 to 9 of 10 pairs over two runs), and
+# 10-15% faster in 29 of 30 pairs at 16384.
 _MIN_ROWS = 8192
 # Most replications (one double of sums each): 1 GiB of doubles.  The longest
 # replication is exact_error's _WALK_CAP (a column buffer holds one).
@@ -98,62 +97,129 @@ class EmpiricalErrorReport:
     seed: int
 
 
-def _cdf(weights: np.ndarray) -> np.ndarray:
-    # CDFs along the last axis.  Rows sum to 1 only within ROW_TOL: saturating
-    # from each row's last positive entry on keeps a deficit off the
-    # zero-probability states.
-    cdf = np.cumsum(weights, axis=-1)
-    d = weights.shape[-1]
-    last = d - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
-    cdf[np.arange(d) >= last[..., None]] = 1.0
-    return cdf
+class _Guide(NamedTuple):
+    """The step's tables: see :func:`_guide`."""
+
+    thresholds: np.ndarray
+    keys: np.ndarray
+    guide: np.ndarray
+    values: np.ndarray
+    bits: int
+    probes: list  # of a search in a row of P, and of one in the start row
+    start_probes: list
+    row_keys: np.ndarray
 
 
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
-    """CDF rows scaled to integers: ceil(c 2**53) <= j exactly when c <= j 2**-53.
-
-    Scaling by a power of two and ``ceil`` round nothing, so the integer
-    j selects the state that the uniform j 2**-53 selects.
-    """
+    """CDF values as integers, unrounded: ceil(c 2**53) <= j exactly when c <= j 2**-53."""
     return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.int64)
 
 
-def _start_row(cdf: np.ndarray) -> np.ndarray:
-    """The start's threshold row, sorted for ``np.searchsorted``.
+def _rounds(thresholds: np.ndarray, rows: np.ndarray, bits: int) -> int:
+    """Bisection rounds that end every search: the bit length of the most
+    thresholds strictly inside one (row, bucket), in rows sorted as laid out."""
+    shift = _UNIFORM_BITS - bits
+    inside = (thresholds & ((1 << shift) - 1) != 0) & (thresholds < _ONE)
+    buckets = rows[inside] << bits
+    buckets += thresholds[inside] >> shift
+    firsts = np.nonzero(buckets[1:] != buckets[:-1])[0] + 1  # of each run but the first
+    return int(np.diff(firsts, prepend=0, append=buckets.size).max()).bit_length()
 
-    Clipping at 2**53 lowers only an excursion above 1 before the saturated
-    tail, which no j < 2**53 reaches, so a search for j selects the state
-    that :func:`_step` does, with one index array as its only temporary.
+
+def _guide(P: np.ndarray, nu: np.ndarray, f: np.ndarray) -> _Guide:
+    """The guide table of the rows of ``P`` and, as row ``len(P)``, of ``nu``.
+
+    Row x's entries are its positive entries in order, each with its
+    saturated CDF value's threshold and the key of the state it selects;
+    ``values`` holds f at each key.  j selects the entry past every
+    threshold <= j, a prefix of the row: running sums never decrease, an
+    excursion above 1 stays above j, and the last positive entry's value is
+    1.  ``guide[key + (j >> (53 - bits))]`` is where bucket j's search
+    starts in the key's row, fewer than 2**rounds entries (one a probe)
+    before the entry it selects and the row's end, which thresholds of
+    2**53 pad.  With ``bits`` = 0 a key is its row's first position and the
+    guide goes unread.  ``bits`` is the fewest that give the rows of P the
+    fewest rounds a guide of ``_TABLE_BYTES`` allows.
     """
-    return np.minimum(_thresholds(cdf), 2**_UNIFORM_BITS)
+    n_rows = P.shape[0] + 1
+    rows, cols = np.nonzero(P)
+    start = np.nonzero(nu)[0]
+    cdf = np.concatenate([P[rows, cols], nu[start]])
+    rows = np.concatenate([rows, np.full(start.size, n_rows - 1)])
+    cols = np.concatenate([cols, start])
+    sizes = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(sizes) - sizes
+    # Running sums in row order, one rank at a time: the same sums as over
+    # the whole row, as adding a zero rounds nothing.
+    for k in range(1, sizes.max()):
+        at = starts[sizes > k] + k
+        cdf[at] += cdf[at - 1]
+    cdf[starts + sizes - 1] = 1.0
+    thresholds = _thresholds(cdf)
+    del cdf  # each array here is a word per entry: hold few at once
+
+    # Finer buckets never take more rounds: the fewest bits that take the
+    # rounds of the budget's finest.
+    inner = rows.size - start.size  # the entries of P's rows
+    top = max(0, (_TABLE_BYTES // 8 // n_rows).bit_length() - 1)
+    rounds = _rounds(thresholds[:inner], rows[:inner], top)
+    bits = bisect.bisect(
+        range(top), False, key=lambda b: _rounds(thresholds[:inner], rows[:inner], b) == rounds
+    )
+    start_rounds = _rounds(thresholds[inner:], rows[inner:], bits)
+    reach = (1 << np.repeat([rounds, start_rounds], [n_rows - 1, 1])) - 1
+    # Per row and bucket b, the thresholds <= its first j, b << shift.
+    shift = _UNIFORM_BITS - bits
+    column = thresholds + ((1 << shift) - 1)
+    column >>= shift
+    np.minimum(column, 1 << bits, out=column)
+    column += rows * ((1 << bits) + 1)
+    found = np.bincount(column, minlength=n_rows * ((1 << bits) + 1)).reshape(n_rows, -1)
+    del rows, column
+    span = np.maximum(sizes, reach)
+    base = np.cumsum(span) - span
+    guide = np.cumsum(found[:, :-1], axis=1) + base[:, None]
+    np.minimum(guide, (base + span - reach)[:, None], out=guide)
+    at = np.repeat(base - starts, sizes)
+    at += np.arange(at.size)
+    padded = np.full(span.sum(), _ONE)
+    padded[at] = thresholds
+    del thresholds
+    key = np.arange(n_rows) << bits if bits else base
+    cols = key[cols]
+    keys = np.zeros(padded.size, dtype=np.int64)
+    keys[at] = cols
+    values = np.zeros(guide.size if bits else padded.size)
+    values[key[:-1]] = f
+    # Round r advances a search at p by 2**r where the threshold at
+    # p + 2**r - 1 is <= j, so the rounds end it among 2**rounds positions.
+    probes = [[(padded[(1 << r) - 1 :], r) for r in reversed(range(n))]
+              for n in (rounds, start_rounds)]
+    return _Guide(padded, keys, guide.ravel(), values, bits, *probes, key)
 
 
-def _step(u: np.ndarray, cdf: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: the state that uniform ``u[i]`` selects from row ``states[i]``.
+def _advance(table: _Guide, j, cur, pos, scratch, hit, probes):
+    """One step of each walk from the key ``cur``: returns ``(cur, pos)``, the new key first.
 
-    ``cdf`` holds saturated CDF rows, C-contiguous (a 1-D ``cdf`` is its one
-    row): those of :func:`_cdf` against uniforms u in [0, 1), or the integer
-    rows of :func:`_thresholds` against the integers j = u 2**53, which
-    select the same states.  The state is the number of entries of the row
-    at or below ``u[i]``.  That predicate holds on a prefix of each row:
-    running sums never decrease, an excursion above 1 before the last
-    positive entry stays above u, and the saturated tail is 1.  So a
-    branchless bisection finds the prefix end, in ceil(log2(d-1)) rounds
-    and one last compare.  It is the simulation's step for d <= 3 and
-    d > 64, and otherwise resolves the uniforms that fall in an impure
-    bucket of :func:`_bucket_table`.
+    The search starts at the guide's position (at ``cur`` if ``bits`` = 0);
+    the table's ``probes`` end it.
     """
-    d = cdf.shape[-1]
-    flat = cdf.ravel()
-    row = states * d
-    base = row.copy()
-    span = d - 1  # the last entry is 1 and never counts
-    while span > 1:
-        half = span // 2
-        base += (flat[half:][base] <= u) * half  # a view, not an index sum
-        span -= half
-    base += flat[base] <= u
-    return base - row
+    if table.bits:
+        np.right_shift(j, _UNIFORM_BITS - table.bits, out=scratch)
+        scratch += cur
+        np.take(table.guide, scratch, out=pos, mode="clip")
+    else:
+        cur, pos = pos, cur
+    for view, r in probes:
+        np.take(view, pos, out=scratch, mode="clip")
+        np.less_equal(scratch, j, out=hit)
+        if r:
+            np.left_shift(hit, r, out=scratch)
+            pos += scratch
+        else:
+            pos += hit
+    np.take(table.keys, pos, out=cur, mode="clip")
+    return cur, pos
 
 
 def _usable_cores() -> int:
@@ -173,41 +239,6 @@ def _positioned(seed: int, offset: int) -> np.random.Generator:
     return generator
 
 
-def _bucket_table(cdf: np.ndarray, f: np.ndarray):
-    """Each (row, bucket of j)'s next state, or None where bisection stays.
-
-    ``cdf`` holds the integer rows of :func:`_thresholds`.  Row x's bucket b
-    is the j in [b 2**s, (b+1) 2**s), s = 53 - bits, with 2**bits >=
-    32 (d-1) buckets a row.  It is pure when :func:`_step` selects one
-    state for all of them, which holds when its first and last j do, as
-    the state never decreases in j.  Returns ``(nxt, fnext, bits)``:
-    ``nxt[x 2**bits + b]`` is that state times 2**bits, or -1 where the
-    bucket straddles a breakpoint, and ``fnext`` holds f of that state.  At
-    most d-1 of a row's buckets are impure, so at most 1/32 of the uniforms
-    fall in one.  The table takes 16 bytes a bucket, 16 d 2**bits for the d
-    rows of P, and is built for d >= 4 (where bisection takes two or more
-    rounds) while that is at most ``_TABLE_BYTES``, up to d = 64.
-    """
-    n_rows, d = cdf.shape
-    bits = (32 * (d - 1) - 1).bit_length()
-    if d < 4 or 16 * n_rows << bits > _TABLE_BYTES:
-        return None
-    # The state j selects is the number of leading thresholds <= j, found by
-    # searchsorted in the running maxima of all rows at once, each row's
-    # keys and queries lifted 2**54 above the previous row's.
-    shift = _UNIFORM_BITS - bits
-    rows = np.arange(n_rows, dtype=np.int64)[:, None]
-    lift = rows << (_UNIFORM_BITS + 1)
-    keys = (np.maximum.accumulate(cdf[:, :-1], axis=1) + lift).ravel()
-    first = (np.arange(1 << bits, dtype=np.int64) << shift) + lift
-    above = rows * (d - 1)  # keys of the rows above
-    state = np.searchsorted(keys, first, "right") - above
-    pure = np.searchsorted(keys, first + ((1 << shift) - 1), "right") - above == state
-    nxt = state << bits
-    nxt[~pure] = -1
-    return nxt.ravel(), f[state].ravel(), bits
-
-
 def _draw(generator, columns, stage: int) -> None:
     # Integer uniforms j = raw >> 11, drawn row-major up to ``stage`` at a
     # time (whole replications, or one in segments) and each piece
@@ -223,20 +254,14 @@ def _draw(generator, columns, stage: int) -> None:
             np.right_shift(piece, 64 - _UNIFORM_BITS, out=columns[t : t + len(piece), r : r + m])
 
 
-def _chunk_sums(
-    generator, columns, walk, fv, stage, row_cdf, nu_cdf, f, table, n0, sums, failed
-) -> None:
+def _chunk_sums(generator, columns, walk, stage, table, n0, sums, failed) -> None:
     """Window sums of one chunk of replications, written into ``sums``.
 
     ``columns`` holds a batch of whole replications as integer uniforms,
-    one time step per contiguous row.  The first step searches the start's
-    row ``nu_cdf`` from :func:`_start_row`.  With a ``table`` from
-    :func:`_bucket_table`, a step is one lookup: the spent row of
-    uniforms ``j[t-1]`` takes the index of (state, bucket of j), ``walk``
-    the next state times 2**bits and ``fv`` its f, and :func:`_step`
-    resolves the impure buckets from ``j[t]``.  Without one, each step is
-    a bisection.  Stops early once another chunk has put an exception in
-    ``failed``.
+    one time step per contiguous row, and ``walk`` four rows of int64:
+    each walk's key, starting at the start row's, its search position,
+    scratch that also takes each state's f, and the compares' bytes.
+    Stops early once another chunk has put an exception in ``failed``.
     """
     length, batch = columns.shape
     for lo in range(0, sums.size, batch):
@@ -246,31 +271,14 @@ def _chunk_sums(
         count = out.size
         j = columns[:, :count]
         _draw(generator, j, stage)
-        states = np.searchsorted(nu_cdf, j[0], side="right")
-        if n0 == 0:
-            out += f[states]
-        if table is None:
-            for t in range(1, length):
-                states = _step(j[t], row_cdf, states)
-                if t >= n0:
-                    out += f[states]
-            continue
-        nxt, fnext, bits = table
-        cur, value = walk[:count], fv[:count]
-        np.left_shift(states, bits, out=cur)
-        for t in range(1, length):
-            ix = j[t - 1]
-            np.right_shift(j[t], _UNIFORM_BITS - bits, out=ix)
-            ix += cur
-            np.take(nxt, ix, out=cur, mode="clip")
+        cur, pos, scratch, hit = walk[:, :count]
+        value, hit = scratch.view(np.float64), hit.view(bool)[:count]
+        cur.fill(table.row_keys[-1])
+        for t in range(length):
+            probes = table.probes if t else table.start_probes
+            cur, pos = _advance(table, j[t], cur, pos, scratch, hit, probes)
             if t >= n0:
-                np.take(fnext, ix, out=value, mode="clip")
-            miss = np.flatnonzero(cur < 0)
-            if miss.size:
-                states = _step(j[t, miss], row_cdf, ix[miss] >> bits)
-                cur[miss] = states << bits
-                value[miss] = f[states]
-            if t >= n0:
+                np.take(table.values, cur, out=value, mode="clip")
                 out += value
 
 
@@ -281,21 +289,19 @@ def _guarded(task, failed) -> None:
         failed.append(exc)
 
 
-def _window_sums(seed: int, row_cdf, nu_cdf, f, n0: int, length: int, R: int) -> np.ndarray:
+def _window_sums(seed: int, table: _Guide, n0: int, length: int, R: int) -> np.ndarray:
     """Each replication's sum of f over its window, on k worker threads.
 
     k is at most the usable cores and small enough that every worker has
     ``_MIN_ROWS`` replications and room for as many in its share of the
-    ``_BUFFER_ELEMS`` budget, which holds each replication's uniforms and,
-    on the table path, its two walk words.  Chunk i, rows
-    ``[i R // k, (i+1) R // k)``, gets its own generator positioned at its
-    first row, so the split changes no draw.  The caller builds the bucket
-    table, allocates every buffer but the drawn pieces, runs chunk 0
-    itself, and joins every thread before it returns or re-raises the first
-    exception a chunk raised; with k = 1 no thread starts.
+    ``_BUFFER_ELEMS`` budget, which holds each replication's uniforms and
+    its walk words.  Chunk i, rows ``[i R // k, (i+1) R // k)``, gets its
+    own generator positioned at its first row, so the split changes no
+    draw.  The caller allocates every buffer but the drawn pieces, runs
+    chunk 0 itself, and joins every thread before it returns or re-raises
+    the first exception a chunk raised; with k = 1 no thread starts.
     """
-    table = _bucket_table(row_cdf, f)
-    words = length + 2 * (table is not None)  # a replication's uniforms and walk
+    words = length + 4  # a replication's uniforms and walk
     k = max(1, min(_usable_cores(), R // _MIN_ROWS, _BUFFER_ELEMS // (_MIN_ROWS * words)))
     batch = min(-(-R // k), max(1, min(_BATCH_ELEMS, _BUFFER_ELEMS // k) // words))
     stage = min(_STAGE_ELEMS, batch * length)
@@ -304,13 +310,10 @@ def _window_sums(seed: int, row_cdf, nu_cdf, f, n0: int, length: int, R: int) ->
     tasks = []
     for i in range(k):
         lo, hi = i * R // k, (i + 1) * R // k
-        walk = fv = None
-        if table is not None:
-            walk, fv = np.empty(batch, dtype=np.int64), np.empty(batch)
         tasks.append(functools.partial(
             _chunk_sums, _positioned(seed, lo * length),
-            np.empty((length, batch), dtype=np.int64), walk, fv, stage,
-            row_cdf, nu_cdf, f, table, n0, window_sums[lo:hi], failed,
+            np.empty((length, batch), dtype=np.int64), np.empty((4, batch), dtype=np.int64),
+            stage, table, n0, window_sums[lo:hi], failed,
         ))
     threads = [threading.Thread(target=_guarded, args=(task, failed)) for task in tasks[1:]]
     try:
@@ -338,35 +341,30 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     usable core, each chunk from its own generator positioned at its first
     row, and within a chunk in lock-step, a batch of whole replications at a
     time, vectorized across the batch one time step at a time.  The result
-    is bit-identical for every worker count and batch size.  A step costs
-    seven numpy calls over the batch for 4 <= d <= 64, whatever d is, and
-    a bisection of ceil(log2(d-1)) rounds otherwise.  Memory is at most
-    16 MiB of column and walk buffers (or one replication, if longer),
-    128 KiB of drawn uniforms per worker, a few doubles per replication,
-    the d x d CDF and threshold rows (16 d**2 bytes) and, for
-    4 <= d <= 64, a bucket table of at most 2 MiB.  ``std_error``
-    is the sample standard deviation of the squared errors divided by
-    sqrt(R).  Raises :class:`BudgetOverflow` before anything is allocated
-    if one replication takes more than 2**27 uniforms or R exceeds 2**27.
+    is bit-identical for every worker count and batch size.  Every step,
+    the start draw included, is a guide-table lookup and ceil(log2(w+1))
+    branchless compares, w being the most CDF breakpoints of one bucket.
+    Memory is at most 16 MiB of column and walk buffers (or one
+    replication, if longer), 128 KiB of drawn uniforms per worker, a few
+    doubles per replication, two words per positive entry of P and nu
+    (three with one bucket a row, and per padding entry), and at most 4 MiB
+    of guide with f at each row's key.  ``std_error`` is the sample
+    standard deviation of the squared errors divided by sqrt(R).  Raises :class:`BudgetOverflow` before
+    anything is allocated if one replication takes more than 2**27 uniforms
+    or R exceeds 2**27.
     """
     spec = config.spec
     n, n0 = int(spec.n), int(spec.n0)
     length = spec.total
     R = int(config.replications)
     if length > _WALK_CAP:
-        raise BudgetOverflow(
-            f"one replication takes {length} uniforms, cap is {_WALK_CAP}"
-        )
+        raise BudgetOverflow(f"one replication takes {length} uniforms, cap is {_WALK_CAP}")
     if R > _REPLICATION_CAP:
-        raise BudgetOverflow(
-            f"replications must be at most {_REPLICATION_CAP}, got {_shown(R)}"
-        )
+        raise BudgetOverflow(f"replications must be at most {_REPLICATION_CAP}, got {_shown(R)}")
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
 
-    deviations = _window_sums(
-        int(config.seed), _thresholds(_cdf(chain.P)), _start_row(_cdf(nu)), f, n0, length, R
-    )
+    deviations = _window_sums(int(config.seed), _guide(chain.P, nu, f), n0, length, R)
     deviations /= n  # in place: window averages, then their deviations
     deviations -= mean_value(f, chain.pi)
     squared = deviations * deviations

@@ -11,7 +11,6 @@ import mcmc_certify as mc
 from mcmc_certify.bounds import _ratio_safe
 from mcmc_certify.chain import _check_length
 from mcmc_certify.errors import TooLarge
-from mcmc_certify.simulate import _cdf, _step
 
 # Hard cap on path enumeration: d ** (n + n0) many paths.
 _ENUMERATION_CAP = 10**7
@@ -310,13 +309,26 @@ def path_enumeration_oracle(chain, nu, f, spec) -> float:
     return math.fsum(partial_sums)
 
 
+def saturated_cdf(weights) -> np.ndarray:
+    """CDF rows along the last axis, set to 1 from each row's last positive entry on.
+
+    Rows sum to 1 only within ``ROW_TOL``: the saturation keeps a deficit
+    off the zero-probability states, and an excursion above 1 before the
+    last positive entry selects nothing past it.
+    """
+    cdf = np.cumsum(weights, axis=-1)
+    d = weights.shape[-1]
+    last = d - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
+    cdf[np.arange(d) >= last[..., None]] = 1.0
+    return cdf
+
+
 def step_oracle(u, cdf_rows) -> np.ndarray:
     """The sampler step by definition: count the CDF entries at or below u.
 
-    ``cdf_rows`` holds one saturated CDF row per uniform, or one row shared
-    by all; this R x d gather-compare-sum is what ``_step``'s bisection
-    must reproduce, and with it the simulation's bucket-table lookup,
-    which ``_step`` both defines and resolves where a bucket is impure.
+    ``cdf_rows`` holds one row of :func:`saturated_cdf` per uniform, or one
+    row shared by all; this R x d gather-compare-sum is what the
+    simulation's guide-table step must reproduce, start draw included.
     """
     return (u[:, None] >= cdf_rows).sum(axis=1)
 
@@ -325,18 +337,17 @@ def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     """Sample one trajectory of the given length, X_1 ~ nu.
 
     Consumes exactly ``length`` uniforms from ``rng_stream`` (a numpy
-    Generator), one per state, and takes each state by the bisection that
-    defines ``mc.estimate_error``'s step, from the start distribution resp.
-    the current transition row.  The simulation's bucket table selects the
-    same states, falling back on that bisection where a bucket is impure.
+    Generator), one per state, and takes each state by :func:`step_oracle`
+    from the start distribution resp. the current transition row, the
+    definition that ``mc.estimate_error``'s guide-table step reproduces.
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
     nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
     u = rng_stream.random(int(length))
-    row_cdf = _cdf(chain.P)
+    row_cdf = saturated_cdf(chain.P)
     states = np.zeros(int(length), dtype=np.intp)
-    states[:1] = _step(u[:1], _cdf(nu), states[:1])
+    states[:1] = step_oracle(u[:1], saturated_cdf(nu))
     for t in range(1, int(length)):
-        states[t : t + 1] = _step(u[t : t + 1], row_cdf, states[t - 1 : t])
+        states[t : t + 1] = step_oracle(u[t : t + 1], row_cdf[states[t - 1]])
     return states

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -266,20 +267,37 @@ def test_exit_code_replication_cap(capsys, chain_file):
     assert "BudgetOverflow: replications must be at most" in capsys.readouterr().err
 
 
-def test_error_of_a_huge_function_reports_inf_bounds(capsys, tmp_path):
-    # ||f||_inf = 5e160: every bound overflows to inf, printed as null, and
-    # the verb exits 0 instead of ending in a traceback.
+def _huge_function_file(tmp_path):
     chain = mc.validation_suite()["birth_death_six"]
     doc = {"P": np.asarray(chain.P).tolist(), "nu": np.eye(6)[0].tolist(),
            "f": (1e160 * np.arange(6.0)).tolist()}
     path = tmp_path / "huge_f.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(over="ignore"):
-        code, out = run_json(capsys, ["error", str(path), "100", "5", "--json"])
+    return str(path)
+
+
+def test_error_of_a_huge_function_reports_inf_bounds(capsys, tmp_path):
+    # ||f||_inf = 5e160: every bound overflows to inf, printed as null, and
+    # the verb exits 0 instead of ending in a traceback, with no warning.
+    code, out = run_json(capsys, ["error", _huge_function_file(tmp_path), "100", "5", "--json"])
     assert code == 0
+    assert out["asymptotic_constant"] is None
     for kind in mc.NORM_KINDS:
         for route in ("theorem", "general"):
             assert out["bounds"][kind][route]["total"] is None, (kind, route)
+
+
+def test_exact_error_of_a_huge_function_is_a_budget_overflow(capsys, tmp_path):
+    # Its exact MSE is not finite in float64: exit 3 with one line on
+    # stderr, not a null MSE after numpy's overflow warnings.
+    argv = ["error", _huge_function_file(tmp_path), "100", "5", "--exact", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: BudgetOverflow: the exact MSE overflows float64"), line
 
 
 def test_exit_code_trapped_start(capsys, tmp_path):

@@ -10,6 +10,7 @@ test.
 
 import math
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -382,6 +383,19 @@ def test_exact_error_refuses_a_trapped_start():
     assert_matches_forward(chain, start, f, [(100, 0), (4000, 96)])
     with pytest.raises(BudgetOverflow):
         mc.exact_error(chain, start, f, mc.EstimatorSpec(n=4000, n0=97))
+
+
+def test_exact_error_of_a_function_too_large_to_square_is_refused(suite):
+    # ||f||_inf = 5e160: the MSE is not finite in float64.  It is refused,
+    # without a floating-point warning, where the bounds of such an f are
+    # inf (tests/test_bounds.py); the asymptotic constant is inf as well.
+    chain = suite["birth_death_six"]
+    f = 1e160 * np.arange(6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetOverflow, match="the exact MSE overflows float64"):
+            mc.exact_error(chain, np.eye(6)[0], f, mc.EstimatorSpec(n=100, n0=5))
+        assert mc.asymptotic_constant(chain, f) == math.inf
 
 
 def test_balanced_pi_is_accurate_in_every_entry():

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import mcmc_certify as mc
 from mcmc_certify import simulate
 from mcmc_certify.errors import BudgetOverflow
-from mcmc_certify.simulate import _bucket_table, _cdf, _start_row, _step, _thresholds
+from mcmc_certify.simulate import _advance, _guide, _thresholds
 
-from chain_strategies import metropolis_chain, sample_trajectory, step_oracle
+from chain_strategies import metropolis_chain, sample_trajectory, saturated_cdf, step_oracle
 
 
 def test_config_validation():
@@ -112,20 +112,21 @@ def _replay(chain, nu, f, spec, R, seed):
 def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
     """Pure-Python lock-step replay reproduces the batch result bit for bit.
 
-    On 1, 2, 3 and 5 workers (chunks of R = 300 that are no multiple of the
-    batch), batches of 43 rows and of one row (shorter than a replication)
-    must equal the single uniform block.
+    On 1, 2, 3, 5 and 8 workers (chunks of R = 300 that are no multiple of
+    the batch), batches of 43 rows and of one row (shorter than a
+    replication) must equal the single uniform block, on the suite (two
+    chains of d = 2 among it) and on a birth-death chain of d = 80.
     """
     R, seed = 300, 123
     default = simulate._BATCH_ELEMS
     for spec in (mc.EstimatorSpec(n=4, n0=3), mc.EstimatorSpec(n=5, n0=0)):
         config = mc.SimulationConfig(replications=R, seed=seed, spec=spec)
-        for chain in (bd3, *suite.values()):
+        for chain in (bd3, *suite.values(), _chain("birth_death", 80)):
             d = chain.size
             nu = np.full(d, 1.0 / d)
             f = np.arange(d, dtype=np.float64) ** 2
             expected = _replay(chain, nu, f, spec, R, seed)
-            for k in (1, 2, 3, 5):
+            for k in (1, 2, 3, 5, 8):
                 _force_workers(monkeypatch, k)
                 for batch_elems in (default, 43 * spec.total, spec.total - 2):
                     monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
@@ -139,27 +140,39 @@ def _chain(kind, d):
     return mc.build_chain(mc.birth_death_matrix(np.linspace(0.2, 0.4, d - 1), np.full(d - 1, 0.3)))
 
 
-@pytest.mark.parametrize(
-    "kind,d",
-    [("birth_death", 3), ("birth_death", 4), ("birth_death", 64), ("birth_death", 65),
-     ("metropolis", 64)],
-)
-def test_replay_matches_on_both_sides_of_the_table_rule(kind, d, monkeypatch):
-    """The bucket table (4 <= d <= 64) and bisection (d = 3, 65) give the replay's bits.
+# The guide's (bits, rounds) that the table rule picks for each chain.
+_TABLE_RULE = {
+    ("birth_death", 2): (0, 1),
+    ("birth_death", 3): (1, 1),
+    ("birth_death", 4): (1, 1),
+    ("birth_death", 64): (1, 1),
+    ("birth_death", 65): (1, 1),
+    ("birth_death", 600): (1, 1),
+    ("metropolis", 64): (8, 1),
+}
 
-    The Metropolis chain's rows have 63 breakpoints each, so its impure
-    buckets send a few percent of the uniforms to the resolving bisection.
+
+@pytest.mark.parametrize("kind,d", list(_TABLE_RULE))
+def test_replay_matches_on_both_sides_of_the_table_rule(kind, d, monkeypatch):
+    """Every guide the table rule picks gives the replay's bits.
+
+    The rule takes the fewest buckets a row that reach the fewest rounds
+    the budget allows: none at d = 2, whose rows hold one breakpoint; two
+    on birth-death rows; 256 on the Metropolis rows, whose 63 breakpoints
+    a row then leave at most one inside a bucket.  The uniform start row
+    takes rounds of its own.
     """
     chain = _chain(kind, d)
     nu = np.full(d, 1.0 / d)
     f = np.arange(d, dtype=np.float64) ** 2
-    assert (_bucket_table(_thresholds(_cdf(chain.P)), f) is None) == (d in (3, 65))
+    table = _guide(chain.P, nu, f)
+    assert (table.bits, len(table.probes)) == _TABLE_RULE[kind, d]
     R, seed = 300, 123
     default = simulate._BATCH_ELEMS
     for spec in (mc.EstimatorSpec(n=4, n0=3), mc.EstimatorSpec(n=5, n0=0)):
         config = mc.SimulationConfig(replications=R, seed=seed, spec=spec)
         expected = _replay(chain, nu, f, spec, R, seed)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 8):
             _force_workers(monkeypatch, k)
             for batch_elems in (default, 43 * spec.total, spec.total - 2):
                 monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
@@ -233,85 +246,88 @@ def test_worker_exception_propagates_and_no_thread_outlives_the_call(two_state, 
     assert threading.active_count() == before
 
 
-def test_memory_does_not_grow_with_the_uniform_block(two_state):
-    # The whole block would hold 3e5 * 100 doubles (240 MB).  A batch of
-    # 2**20 uniforms and its transpose take 16 MiB, the R sums 2.3 MB.
-    config = mc.SimulationConfig(
-        replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
-    )
+def _budget(chain, nu, f, R, k):
+    """The bytes estimate_error may hold at once, from its parts.
+
+    The column buffers with each replication's walk words share the
+    ``_BUFFER_ELEMS`` words.  Beside them come, for each of the k workers,
+    its staging piece and the buffer of as many words through which numpy
+    casts the piece into place, then the R window sums and the guide
+    table's arrays.  One MiB more covers the interpreter's and numpy's
+    small allocations.
+    """
+    table = _guide(chain.P, np.asarray(nu, dtype=float), np.asarray(f, dtype=float))
+    tables = sum(a.nbytes for a in (table.thresholds, table.keys, table.guide, table.values))
+    return 8 * (simulate._BUFFER_ELEMS + 2 * k * simulate._STAGE_ELEMS + R) + tables + 2**20
+
+
+def _peak(chain, nu, f, config):
     tracemalloc.start()
     try:
-        mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
+        mc.estimate_error(chain, nu, f, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20, peak
+    return peak
+
+
+def test_memory_does_not_grow_with_the_uniform_block(two_state):
+    # The whole block would hold 3e5 * 100 doubles (240 MB).  The column
+    # buffers take 16 MiB however many workers share them, the R sums 2.3 MB.
+    config = mc.SimulationConfig(
+        replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
+    )
+    k = simulate._usable_cores()
+    peak = _peak(two_state, [1.0, 0.0], [1.0, 0.0], config)
+    assert peak < _budget(two_state, [1.0, 0.0], [1.0, 0.0], 300_000, k), peak
 
 
 def test_memory_of_four_workers_stays_within_the_budget(two_state, monkeypatch):
-    # Four workers share the 16 MiB column budget, 2**19 uniforms each,
+    # Four workers share the 16 MiB column budget, 2**19 words each,
     # beside four 128 KiB staging buffers and the R sums.
     _force_workers(monkeypatch, 4)
     config = mc.SimulationConfig(
         replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
     )
-    tracemalloc.start()
-    try:
-        mc.estimate_error(two_state, [1.0, 0.0], [1.0, 0.0], config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20, peak
+    peak = _peak(two_state, [1.0, 0.0], [1.0, 0.0], config)
+    assert peak < _budget(two_state, [1.0, 0.0], [1.0, 0.0], 300_000, 4), peak
 
 
 def test_memory_on_the_table_path_stays_within_the_budget_and_the_table(monkeypatch):
-    # d = 64 takes the largest bucket table, 2 MiB, beside the 24 MiB above;
-    # the two workers' walk rows share the column budget.
+    # A dense chain's table holds two words per entry of P, d**2 of them,
+    # beside the budget; the two workers' walk words share the column budget.
     _force_workers(monkeypatch, 2)
-    chain = _chain("birth_death", 64)
-    f = np.arange(64.0)
-    assert _bucket_table(_thresholds(_cdf(chain.P)), f)[0].nbytes * 2 == simulate._TABLE_BYTES
+    chain = metropolis_chain(np.linspace(1.0, 3.0, 200))
+    nu, f = np.eye(200)[0], np.arange(200.0)
     config = mc.SimulationConfig(
         replications=300_000, seed=3, spec=mc.EstimatorSpec(n=60, n0=40)
     )
-    tracemalloc.start()
-    try:
-        mc.estimate_error(chain, np.eye(64)[0], f, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20 + simulate._TABLE_BYTES, peak
+    peak = _peak(chain, nu, f, config)
+    assert peak < _budget(chain, nu, f, 300_000, 2), peak
 
 
 def test_memory_of_short_windows_on_the_table_path(monkeypatch):
-    # With n + n0 = 4, R / 2 rather than the budget sets each worker's batch
-    # of 150,000 rows: 4 rows of uniforms, the next-state row, the f row and
-    # the first step's one index row, beside the table and the R sums, with
-    # 1 MiB for the rest (20.5 MiB measured against 20.3 accounted).  The
-    # index of each lookup goes into the spent row of uniforms; a walk row
-    # of its own, or the first step's bisection temporaries, would add 2.3
-    # MiB or more.
+    # With n + n0 = 4 the budget holds 2**20 / 8 replications a worker:
+    # their 4 uniforms, the key, position and scratch words and a compare
+    # byte.  A walk row beyond those would add 1 MiB a worker.
     _force_workers(monkeypatch, 2)
     chain = _chain("birth_death", 64)
+    nu, f = np.eye(64)[0], np.arange(64.0)
     config = mc.SimulationConfig(
         replications=300_000, seed=3, spec=mc.EstimatorSpec(n=2, n0=2)
     )
-    tracemalloc.start()
-    try:
-        mc.estimate_error(chain, np.eye(64)[0], np.arange(64.0), config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    accounted = 2 * 150_000 * (4 + 2 + 1) * 8 + simulate._TABLE_BYTES + 300_000 * 8
-    assert peak < accounted + 2**20, peak
+    peak = _peak(chain, nu, f, config)
+    assert peak < _budget(chain, nu, f, 300_000, 2), peak
 
 
-def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
-    """Saturated CDF rows with zero entries and row sums of 1 + tol_units * ROW_TOL.
+def _weight_table(d, seed, zero_share, trailing, tiny_last, tol_units):
+    """d + 1 rows of d weights, the last one a start's, summing to 1 + tol_units * ROW_TOL.
 
-    ``trailing`` zero columns end every row; with ``tiny_last`` the entry
-    before them is 1e-14, so the running sum may pass 1 before it.
+    Some entries are zero, as a share ``zero_share``.  ``trailing`` zero
+    columns end every row; with ``tiny_last`` the entry before them is
+    1e-14, so the running sum may pass 1 before it.
     """
+    rows = d + 1
     rng = np.random.default_rng(seed)
     weights = rng.random((rows, d)) * (rng.random((rows, d)) >= zero_share)
     weights[np.arange(rows), rng.integers(d, size=rows)] += 1.0
@@ -319,15 +335,14 @@ def _cdf_table(d, rows, seed, zero_share, trailing, tiny_last, tol_units):
     weights[:, last + 1 :] = 0.0
     weights[:, last] = 1e-14 if tiny_last else weights[:, last] + 1.0
     weights *= (1.0 + tol_units * mc.ROW_TOL) / weights.sum(axis=1, keepdims=True)
-    return _cdf(weights), rng
+    return weights, rng
 
 
 @st.composite
-def _cdf_tables(draw, min_d=1, max_d=700):
-    d = draw(st.integers(min_value=min_d, max_value=max_d))
-    return _cdf_table(
+def _weight_tables(draw, max_d=80):
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    return _weight_table(
         d,
-        rows=draw(st.integers(min_value=1, max_value=6)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         zero_share=draw(st.sampled_from([0.0, 0.5, 0.95])),
         trailing=draw(st.integers(min_value=0, max_value=d - 1)),
@@ -336,96 +351,70 @@ def _cdf_tables(draw, min_d=1, max_d=700):
     )
 
 
-@given(_cdf_tables())
-@example(_cdf_table(1, 1, 0, 0.0, 0, False, 0.0))
-@example(_cdf_table(2, 3, 1, 0.5, 0, True, 1.0))
-@example(_cdf_table(700, 6, 2, 0.95, 100, True, 1.0))
-@example(_cdf_table(700, 6, 3, 0.0, 0, False, -1.0))
-def test_bisection_step_equals_the_counting_oracle(table):
-    cdf, rng = table
-    rows, d = cdf.shape
-    # Random uniforms, the extremes, and every CDF value below 1 (exact ties).
-    ties = cdf[cdf < 1.0]
-    u = np.concatenate([rng.random(200), [0.0, np.nextafter(1.0, 0.0)], ties])
-    states = rng.integers(rows, size=u.size)
-    assert np.array_equal(_step(u, cdf, states), step_oracle(u, cdf[states]))
-    # The start draw: one row shared by every uniform.
-    start = np.zeros(u.size, dtype=np.intp)
-    assert np.array_equal(_step(u, cdf[0], start), step_oracle(u, cdf[0]))
-
-
-@given(_cdf_tables(max_d=64))
-@example(_cdf_table(1, 1, 0, 0.0, 0, False, 0.0))
-@example(_cdf_table(64, 6, 2, 0.95, 10, True, 1.0))
-@example(_cdf_table(40, 6, 4, 0.5, 0, True, 0.5))
-def test_start_draw_search_equals_the_counting_oracle(table):
-    # The clipped row is sorted even where the running sum passes 1 before
-    # the saturated tail, and a search of it selects the oracle's state.
-    cdf, rng = table
-    for row in cdf:
-        start = _start_row(row)
-        assert np.all(np.diff(start) >= 0)
-        ties = _thresholds(row)[row < 1.0]
-        j = np.concatenate([rng.integers(2**53, size=200), [0, 2**53 - 1], ties, ties - 1])
-        j = j[j >= 0]
-        expected = step_oracle(j * 2.0**-53, row)
-        assert np.array_equal(np.searchsorted(start, j, side="right"), expected)
-
-
 def _dyadic_table():
-    # Every CDF value is a multiple of 1/8, so every threshold lies on a
-    # bucket edge; the first row also has a trailing zero-probability state.
-    weights = np.array([[0.25, 0.25, 0.5, 0.0], [0.125, 0.0, 0.375, 0.5], [0.0, 0.0, 0.0, 1.0]])
-    return _cdf(weights), np.random.default_rng(5)
+    # Every CDF value is a multiple of 1/8, so every threshold lies on the
+    # edge of a bucket of 2**50; the first row and the start also have
+    # zero-probability states.
+    weights = np.array([
+        [0.25, 0.25, 0.5, 0.0], [0.125, 0.0, 0.375, 0.5], [0.0, 0.0, 0.0, 1.0],
+        [0.5, 0.125, 0.125, 0.25], [0.0, 0.625, 0.0, 0.375],
+    ])
+    return weights, np.random.default_rng(5)
 
 
-@given(_cdf_tables(min_d=4, max_d=64))
+@given(_weight_tables())
+@example(_weight_table(1, 0, 0.0, 0, False, 0.0))
+@example(_weight_table(2, 1, 0.5, 0, True, 1.0))
+@example(_weight_table(3, 6, 0.0, 0, False, -1.0))
+@example(_weight_table(4, 0, 0.5, 1, False, 0.0))
+@example(_weight_table(64, 2, 0.95, 10, True, 1.0))
+@example(_weight_table(65, 3, 0.0, 0, False, -1.0))
+@example(_weight_table(600, 4, 0.5, 7, True, 0.5))
 @example(_dyadic_table())
-@example(_cdf_table(4, 1, 0, 0.0, 0, False, 0.0))
-@example(_cdf_table(64, 6, 2, 0.95, 10, True, 1.0))
-@example(_cdf_table(64, 6, 3, 0.0, 0, False, -1.0))
-@example(_cdf_table(40, 6, 4, 0.5, 0, True, 0.5))
-def test_bucket_table_step_equals_the_counting_oracle(table):
-    cdf, rng = table
-    rows, d = cdf.shape
-    thresholds = _thresholds(cdf)
+def test_guide_step_equals_the_counting_oracle(table):
+    # The d = 600 example has more rows than a lift of 2**54 a row keeps
+    # within int64.  From the start row and a few rows of P, each row's
+    # search meets random j, the extremes, both sides of every bucket edge,
+    # and each of the row's thresholds below 2**53 with the j just below it
+    # (exact ties), and must select the oracle's state and its f.
+    weights, rng = table
+    d = weights.shape[1]
     f = rng.random(d)
-    nxt, fnext, bits = _bucket_table(thresholds, f)
-    shift = 53 - bits
-    # Random j, the extremes, both sides of every bucket edge, and every
-    # threshold below 2**53 with the j just below it (exact ties).
-    edges = np.arange(1, 1 << bits, dtype=np.int64) << shift
-    ties = thresholds[thresholds < 2**53]
-    j = np.concatenate(
-        [rng.integers(2**53, size=200), [0, 2**53 - 1], edges, edges - 1, ties, ties - 1]
-    )
-    j = j[j >= 0]
-    states = rng.integers(rows, size=j.size)
-    expected = step_oracle(j * 2.0**-53, cdf[states])
-    # The table step: one lookup at (state, bucket of j), and a bisection
-    # where the bucket is impure.
-    ix = (states << bits) + (j >> shift)
-    pure = nxt[ix] >= 0
-    assert np.array_equal(nxt[ix[pure]] >> bits, expected[pure])
-    assert np.array_equal(fnext[ix[pure]], f[expected[pure]])
-    assert np.array_equal(_step(j[~pure], thresholds, states[~pure]), expected[~pure])
-    # Each breakpoint makes at most one bucket impure.
-    assert np.all((nxt.reshape(rows, -1) < 0).sum(axis=1) <= d - 1)
+    guide = _guide(weights[:-1], weights[-1], f)
+    cdf = saturated_cdf(weights)
+    edges = np.arange(1, 1 << guide.bits, dtype=np.int64) << (53 - guide.bits)
+    for x in np.append(rng.choice(d, size=min(d, 6), replace=False), d):
+        ties = _thresholds(cdf[x])
+        ties = ties[ties < 2**53]
+        j = np.concatenate(
+            [rng.integers(2**53, size=50), [0, 2**53 - 1], edges, edges - 1, ties, ties - 1]
+        )
+        j = j[j >= 0]
+        probes = guide.start_probes if x == d else guide.probes
+        cur = np.full(j.size, guide.row_keys[x])
+        buffers = np.empty_like(j), np.empty_like(j), np.empty(j.size, dtype=bool)
+        cur, _ = _advance(guide, j, cur, *buffers, probes)
+        state = np.searchsorted(guide.row_keys, cur)
+        assert np.array_equal(guide.row_keys[state], cur)
+        assert np.array_equal(state, step_oracle(j * 2.0**-53, cdf[x]))
+        assert np.array_equal(guide.values[cur], f[state])
 
 
 def test_thresholds_on_bucket_edges_leave_every_bucket_pure():
-    cdf, _ = _dyadic_table()
-    nxt, _, bits = _bucket_table(_thresholds(cdf), np.arange(4.0))
-    assert bits == 7 and np.all(nxt >= 0)
+    # With 8 buckets a row every threshold sits on a bucket's first j, so
+    # the guide alone selects the state, without a compare.
+    weights, _ = _dyadic_table()
+    guide = _guide(weights[:-1], weights[-1], np.arange(4.0))
+    assert (guide.bits, guide.probes, guide.start_probes) == (3, [], [])
 
 
-@given(_cdf_tables())
+@given(_weight_tables(max_d=700))
 @example(_dyadic_table())
 def test_integer_thresholds_compare_as_the_uniforms_do(table):
     # ceil(c 2**53) <= j exactly when c <= j 2**-53, at every CDF value c,
     # its float neighbours, and the j around c 2**53.
-    cdf, _ = table
-    c = cdf.ravel()
+    weights, _ = table
+    c = saturated_cdf(weights[:7]).ravel()
     c = np.concatenate([c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)])
     near = np.floor(c * 2.0**53).astype(np.int64)[:, None] + np.arange(-1, 3)
     j = np.clip(near, 0, 2**53 - 1)
