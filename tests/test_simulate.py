@@ -362,28 +362,24 @@ def _dyadic_table():
     return weights, np.random.default_rng(5)
 
 
-@given(_weight_tables())
-@example(_weight_table(1, 0, 0.0, 0, False, 0.0))
-@example(_weight_table(2, 1, 0.5, 0, True, 1.0))
-@example(_weight_table(3, 6, 0.0, 0, False, -1.0))
-@example(_weight_table(4, 0, 0.5, 1, False, 0.0))
-@example(_weight_table(64, 2, 0.95, 10, True, 1.0))
-@example(_weight_table(65, 3, 0.0, 0, False, -1.0))
-@example(_weight_table(600, 4, 0.5, 7, True, 0.5))
-@example(_dyadic_table())
-def test_guide_step_equals_the_counting_oracle(table):
-    # The d = 600 example has more rows than a lift of 2**54 a row keeps
-    # within int64.  From the start row and a few rows of P, each row's
-    # search meets random j, the extremes, both sides of every bucket edge,
-    # and each of the row's thresholds below 2**53 with the j just below it
-    # (exact ties), and must select the oracle's state and its f.
-    weights, rng = table
+def _check_guide_rows(weights, rng, rows, table_bytes=None):
+    """From each row in ``rows`` (``d`` is the start row), the guide's search
+    meets random j, the extremes, both sides of every bucket edge, and each
+    of the row's thresholds below 2**53 with the j just below it (exact
+    ties), and must select the oracle's state and its f.  With
+    ``table_bytes`` the guide is built under that budget."""
     d = weights.shape[1]
     f = rng.random(d)
-    guide = _guide(weights[:-1], weights[-1], f)
+    budget = simulate._TABLE_BYTES
+    if table_bytes is not None:
+        simulate._TABLE_BYTES = table_bytes
+    try:
+        guide = _guide(weights[:-1], weights[-1], f)
+    finally:
+        simulate._TABLE_BYTES = budget
     cdf = saturated_cdf(weights)
     edges = np.arange(1, 1 << guide.bits, dtype=np.int64) << (53 - guide.bits)
-    for x in np.append(rng.choice(d, size=min(d, 6), replace=False), d):
+    for x in rows:
         ties = _thresholds(cdf[x])
         ties = ties[ties < 2**53]
         j = np.concatenate(
@@ -398,6 +394,51 @@ def test_guide_step_equals_the_counting_oracle(table):
         assert np.array_equal(guide.row_keys[state], cur)
         assert np.array_equal(state, step_oracle(j * 2.0**-53, cdf[x]))
         assert np.array_equal(guide.values[cur], f[state])
+    return guide
+
+
+@given(_weight_tables(max_d=700))
+@example(_weight_table(1, 0, 0.0, 0, False, 0.0))
+@example(_weight_table(2, 1, 0.5, 0, True, 1.0))
+@example(_weight_table(700, 2, 0.95, 100, True, 1.0))
+@example(_weight_table(700, 3, 0.0, 0, False, -1.0))
+def test_bisection_step_equals_the_counting_oracle(table):
+    # Without a guide (a budget of no bytes) every search, from a row of P
+    # or the start row, is bisection alone from the row's first position.
+    weights, rng = table
+    d = weights.shape[1]
+    rows = np.append(rng.choice(d, size=min(d, 6), replace=False), d)
+    guide = _check_guide_rows(weights, rng, rows, table_bytes=0)
+    assert guide.bits == 0
+
+
+@given(_weight_tables())
+@example(_weight_table(1, 0, 0.0, 0, False, 0.0))
+@example(_weight_table(64, 2, 0.95, 10, True, 1.0))
+@example(_weight_table(40, 4, 0.5, 0, True, 0.5))
+@example(_weight_table(600, 4, 0.5, 7, True, 0.5))
+@example(_dyadic_table())
+def test_start_draw_search_equals_the_counting_oracle(table):
+    # The start row is one more row of the guide, with rounds of its own;
+    # its running sum may pass 1 before the saturated tail.
+    weights, rng = table
+    _check_guide_rows(weights, rng, [weights.shape[1]])
+
+
+@given(_weight_tables())
+@example(_dyadic_table())
+@example(_weight_table(3, 6, 0.0, 0, False, -1.0))
+@example(_weight_table(4, 0, 0.5, 1, False, 0.0))
+@example(_weight_table(64, 2, 0.95, 10, True, 1.0))
+@example(_weight_table(65, 3, 0.0, 0, False, -1.0))
+@example(_weight_table(600, 4, 0.5, 7, True, 0.5))
+def test_bucket_table_step_equals_the_counting_oracle(table):
+    # The d = 600 example has more rows than a lift of 2**54 a row keeps
+    # within int64.  A few rows of P, searched from their buckets' guide
+    # positions.
+    weights, rng = table
+    d = weights.shape[1]
+    _check_guide_rows(weights, rng, rng.choice(d, size=min(d, 6), replace=False))
 
 
 def test_thresholds_on_bucket_edges_leave_every_bucket_pure():
