@@ -22,9 +22,18 @@ estimate-free *half budget* rule ``n0 = N//2`` whose asymptotic price is a
 factor sqrt(2).  Both squared bounds are convex in ``n0`` for fixed ``N``, so
 the optimized split sits beside the continuous bound's stationary point,
 which a few Newton steps on one scalar equation find in O(1); an exact pass
-over the 257 splits around it settles the integer argmin.  The Newton
-steps and ``bound_function`` run on Python floats, where numpy would pay
-its per-call overhead on 1-element arrays.
+over the 257 splits around it settles the integer argmin, on one scratch
+array beside the result.  The Newton steps and single-split bounds run on
+Python floats, where numpy would pay its per-call overhead on 1-element
+arrays.
+
+``BudgetQuery`` is the one input gate: it checks ``N``, ``beta`` and ``C``
+(type included), so the planners check only ``kind`` and evaluate bounds
+and suggestions on the query's values without checking them again.  The
+public ``bound_function``, ``suggested_burnin`` and
+``suggested_burnin_detail`` check their own arguments.  The suggestion's
+fixed-point logs reduce their argument by the nearest ``1 + j/64`` from a
+table built at import, so each atanh series is about 13 terms long.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ class BudgetQuery:
 
     def __post_init__(self) -> None:
         _check_count(self.N, 2, "budget N")
-        if not (0.0 <= self.beta < 1.0):
+        if not (_is_number(self.beta) and 0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {_shown(self.beta)}")
         _check_constant(self.C)
 
@@ -117,45 +126,75 @@ class BurninSuggestion:
     borderline: bool
 
 
+def _is_number(x) -> bool:
+    """An int or float, ``bool`` excluded: ``True`` is not a constant."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_constant(C: float) -> None:
     # A chained comparison, not math.isfinite, which overflows on huge ints.
-    if not (isinstance(C, (int, float)) and 0.0 < C <= sys.float_info.max):
+    if not (_is_number(C) and 0.0 < C <= sys.float_info.max):
         raise ValueError(f"C must be a positive finite number, got {_shown(C)}")
 
 
 def _check_suggestion_args(beta: float, C: float) -> None:
-    if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
+    if not (_is_number(beta) and 0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {_shown(beta)}")
     _check_constant(C)
 
 
-def _log_fixed(x: float) -> int:
-    """``log x`` in fixed point, as ``e log 2 + 2 atanh((m-1)/(m+1))`` for the
-    exact ``m = x / 2^e`` within ``2^(+-1/2)`` of 1 (``m = 1`` for ``x = 2^e``).
+def _log_near_one(num: int, den: int) -> int:
+    """``log(num/den)`` in fixed point, as ``2 atanh((num-den)/(num+den))``.
     Each truncated term of the atanh series adds under a unit of error."""
-    num, den = x.as_integer_ratio()
-    e = round(math.log2(x))
-    num, den = (num, den << e) if e >= 0 else (num << -e, den)
     t = (abs(num - den) << _FIXED_BITS) // (num + den)
     t2, term, total, k = (t * t) >> _FIXED_BITS, t, t, 3
     while term:
         term = (term * t2) >> _FIXED_BITS
         total += term // k
         k += 2
-    return 2 * (total if num >= den else -total) + e * _LOG2_FIXED
+    return 2 * total if num >= den else -2 * total
+
+
+# log(1 + j/64) in fixed point for every j that _log_fixed meets: its
+# mantissa lies within 2^(+-1/2) of 1, so j = round(64 (m - 1)) in [-19, 27].
+_LOG_TABLE = {j: _log_near_one(64 + j, 64) for j in range(-19, 28)}
+
+
+def _log_fixed(x: float) -> int:
+    """``log x`` in fixed point, after Tang's table-driven logarithm (ACM
+    TOMS 16, 1990): ``x = 2^e m`` with ``m`` within ``2^(+-1/2)`` of 1, and
+    ``log m = log(1 + j/64) + log(m / (1 + j/64))`` for the nearest ``j``.
+    The quotient is an exact rational within 1/90 of 1, so its atanh series
+    runs on ``|t| < 1/180`` (about 13 terms); ``log(1 + j/64)`` comes from
+    ``_LOG_TABLE``.  For ``x = 2^e``, ``m = 1`` and ``j = 0``, so the log is
+    exactly ``e _LOG2_FIXED``."""
+    num, den = x.as_integer_ratio()
+    e = round(math.log2(x))
+    num, den = (num, den << e) if e >= 0 else (num << -e, den)
+    j = round(64.0 * math.ldexp(x, -e)) - 64
+    return _log_near_one(num << 6, den * (64 + j)) + _LOG_TABLE[j] + e * _LOG2_FIXED
 
 
 def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
     """Evaluate ``max(ceil(log C / log(1/beta)), 0)`` beyond float64.
 
     Both logs are taken in fixed point, each within ``2^-170``, so the ratio
-    is within about ``1e-35`` (relative); the rest is exact in integers, and
-    ``ratio`` is the correctly rounded quotient.  For ``beta = 2^-a`` and
-    ``C = 2^b`` the logs are ``-a`` and ``b`` times ``_LOG2_FIXED``, so the
-    outcome is exact; by unique factorisation these are the only floats
-    whose ratio is rational.  For ``C <= 1``, ``n0 = 0`` and not borderline.
+    is within about ``1e-35`` (relative); ``_log_fixed`` divides each
+    mantissa by the nearest ``1 + j/64`` and adds that factor's log from a
+    table, so its atanh series runs on ``|t| < 1/180``.  The rest is exact
+    in integers, and ``ratio`` is the correctly rounded quotient.  For
+    ``beta = 2^-a`` and ``C = 2^b`` the logs are ``-a`` and ``b`` times
+    ``_LOG2_FIXED``, so the outcome is exact; by unique factorisation these
+    are the only floats whose ratio is rational.  For ``C <= 1``, ``n0 = 0``
+    and not borderline.
+    The planners call the same code on a ``BudgetQuery``'s checked values.
     """
     _check_suggestion_args(beta, C)
+    return _suggestion(beta, C)
+
+
+def _suggestion(beta: float, C: float) -> BurninSuggestion:
+    """``suggested_burnin_detail`` on checked arguments."""
     log_c, log_inv_beta = _log_fixed(C), -_log_fixed(beta)
     nearest = (2 * log_c + log_inv_beta) // (2 * log_inv_beta)
     borderline = C > 1 and abs(log_c - nearest * log_inv_beta) * 10**9 < log_inv_beta
@@ -171,10 +210,15 @@ def suggested_burnin(beta: float, C: float) -> int:
     integer, where ``suggested_burnin_detail`` does.
     """
     _check_suggestion_args(beta, C)
+    return _suggested_n0(beta, C)
+
+
+def _suggested_n0(beta: float, C: float) -> int:
+    """``suggested_burnin`` on checked arguments."""
     ratio = math.log(C) / -math.log(beta)
     if abs(ratio - round(ratio)) > _CEIL_MARGIN * abs(ratio):
         return max(math.ceil(ratio), 0)
-    return suggested_burnin_detail(beta, C).n0
+    return _suggestion(beta, C).n0
 
 
 def _log_k(beta: float, kind: str) -> float:
@@ -185,29 +229,47 @@ def _log_k(beta: float, kind: str) -> float:
     return -math.log(one_minus) - math.log(_one_minus_root(beta))
 
 
-def _bound_terms(
-    n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The leading term and the log of the correction term, before any clamp."""
-    lead = 2.0 / (n * (1.0 - beta))
-    if beta > 0.0:
-        damp = np.maximum(n0 * math.log(beta), _LOG_FLOOR)
-    else:
-        damp = np.where(n0 == 0, 0.0, _LOG_FLOOR)
-    return lead, math.log(C) + damp + _log_k(beta, kind) - 2 * np.log(n)
-
-
 def _squared_bounds(
     n: np.ndarray, n0: np.ndarray, beta: float, C: float, kind: str
 ) -> np.ndarray:
-    """Squared bound values, evaluated in log space to dodge under/overflow."""
-    lead, log_corr = _bound_terms(n, n0, beta, C, kind)
-    corr = np.where(
-        log_corr > _EXP_OVERFLOW,
-        np.inf,
-        np.exp(np.minimum(log_corr, _EXP_OVERFLOW)),
-    )
-    return lead + corr
+    """Squared bound values, evaluated in log space to dodge under/overflow.
+
+    ``lead + exp(log C + damp + log K - 2 log n)``, with ``damp`` the log of
+    ``beta^n0`` on its floor and ``exp`` taken as ``inf`` past
+    ``_EXP_OVERFLOW``: computed in place on the result and one scratch array.
+    """
+    if beta > 0.0:
+        out = np.multiply(n0, math.log(beta))
+        np.maximum(out, _LOG_FLOOR, out=out)
+    else:
+        out = np.where(n0 == 0, 0.0, _LOG_FLOOR)
+    out += math.log(C)
+    out += _log_k(beta, kind)
+    scratch = np.log(n)
+    scratch *= 2
+    out -= scratch
+    overflow = out > _EXP_OVERFLOW
+    np.minimum(out, _EXP_OVERFLOW, out=out)
+    np.exp(out, out=out)
+    out[overflow] = np.inf
+    np.multiply(n, 1.0 - beta, out=scratch)
+    np.divide(2.0, scratch, out=scratch)
+    out += scratch
+    return out
+
+
+def _bound(beta: float, C: float, n: int, n0: int, kind: str) -> float:
+    """The bound (not squared) at one checked split: ``_squared_bounds``'
+    steps on Python floats.  log n and exp stay numpy's, as libm's can
+    differ by an ulp; the other steps round alike in both."""
+    n = float(n)
+    if beta > 0.0:
+        damp = max(n0 * math.log(beta), _LOG_FLOOR)
+    else:
+        damp = 0.0 if n0 == 0 else _LOG_FLOOR
+    log_corr = math.log(C) + damp + _log_k(beta, kind) - 2 * float(np.log(n))
+    corr = math.inf if log_corr > _EXP_OVERFLOW else float(np.exp(log_corr))
+    return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
 
 
 def _check_kind(kind: str) -> None:
@@ -224,16 +286,7 @@ def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     _check_kind(kind)
     n = _check_count(n, 1, "window length n")
     n0 = _check_count(n0, 0, "burn-in n0")
-    # _squared_bounds' steps on one split.  log n and exp stay numpy's, as
-    # libm's can differ by an ulp; the other steps round alike in both.
-    beta, n = query.beta, float(n)
-    if beta > 0.0:
-        damp = max(n0 * math.log(beta), _LOG_FLOOR)
-    else:
-        damp = 0.0 if n0 == 0 else _LOG_FLOOR
-    log_corr = math.log(query.C) + damp + _log_k(beta, kind) - 2 * float(np.log(n))
-    corr = math.inf if log_corr > _EXP_OVERFLOW else float(np.exp(log_corr))
-    return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
+    return _bound(query.beta, query.C, n, n0, kind)
 
 
 def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
@@ -268,7 +321,12 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     an all-``inf`` window gives ``n0 = 0``.  O(1) work.
     """
     _check_kind(kind)
-    N, beta, C = query.N, query.beta, query.C
+    n0, value = _optimal_split(query.N, query.beta, query.C, kind)
+    return BurninPlan(n0=n0, n=query.N - n0, bound_value=value, strategy="optimized")
+
+
+def _optimal_split(N: int, beta: float, C: float, kind: str) -> tuple[int, float]:
+    """``optimize_burnin``'s ``(n0, bound_value)`` on checked arguments."""
     center = 0
     if beta > 0.0:
         lb = -math.log(beta)
@@ -287,14 +345,13 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     n0s = np.arange(lo, min(lo + 2 * _HALF_WINDOW, N - 1) + 1, dtype=np.int64)
     sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
     i = int(np.argmin(sq))
-    best_n0, value = lo + i if math.isfinite(sq[i]) else 0, math.sqrt(float(sq[i]))
-    return BurninPlan(n0=best_n0, n=N - best_n0, bound_value=value, strategy="optimized")
+    return lo + i if math.isfinite(sq[i]) else 0, math.sqrt(float(sq[i]))
 
 
 def suggested_plan(query: BudgetQuery, kind: str) -> BurninPlan:
     """Plan using the closed-form suggestion; rejects an all-burn-in split."""
     _check_kind(kind)
-    n0 = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
+    n0 = _suggested_n0(query.beta, query.C) if query.beta > 0.0 else 0
     if n0 >= query.N:
         raise ValueError(
             f"suggested burn-in {n0} consumes the whole budget N={query.N}; "
@@ -303,7 +360,7 @@ def suggested_plan(query: BudgetQuery, kind: str) -> BurninPlan:
     return BurninPlan(
         n0=n0,
         n=query.N - n0,
-        bound_value=bound_function(query, query.N - n0, n0, kind),
+        bound_value=_bound(query.beta, query.C, query.N - n0, n0, kind),
         strategy="suggested",
     )
 
@@ -318,7 +375,7 @@ def half_budget_plan(query: BudgetQuery, kind: str) -> BurninPlan:
     _check_kind(kind)
     n0 = query.N // 2
     n = query.N - n0
-    value = bound_function(query, n, n0, kind)
+    value = _bound(query.beta, query.C, n, n0, kind)
     yardstick = math.sqrt(2.0 / (query.N * (1.0 - query.beta)))
     return BurninPlan(
         n0=n0,
@@ -363,22 +420,22 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     their curve to larger budgets.
     """
     _check_kind(kind)
+    beta, C = query.beta, query.C
     fixed = []
     for c in n0_choices:
         c = _check_count(c, 0, "each burn-in choice")
         fixed.append((c, f"{kind}[n0={c}]"))
-    suggested = suggested_burnin(query.beta, query.C) if query.beta > 0.0 else 0
+    suggested = _suggested_n0(beta, C) if beta > 0.0 else 0
     fixed.append((suggested, f"{kind}[suggested]"))
 
     rows: list[FigureRow] = []
     for N in _budget_grid(query.N):
-        sub = BudgetQuery(N=N, beta=query.beta, C=query.C)
         for n0, label in fixed:
             if n0 < N:
-                rows.append(FigureRow(N, n0, label, bound_function(sub, N - n0, n0, kind)))
-        half = half_budget_plan(sub, kind)
-        rows.append(FigureRow(N, half.n0, f"{kind}[half]", half.bound_value))
-        opt = optimize_burnin(sub, kind)
-        rows.append(FigureRow(N, opt.n0, f"{kind}[optimized]", opt.bound_value))
-        rows.append(FigureRow(N, 0, "stationary", math.sqrt(worst_case_mse(N, query.beta))))
+                rows.append(FigureRow(N, n0, label, _bound(beta, C, N - n0, n0, kind)))
+        half = N // 2
+        rows.append(FigureRow(N, half, f"{kind}[half]", _bound(beta, C, N - half, half, kind)))
+        opt_n0, opt = _optimal_split(N, beta, C, kind)
+        rows.append(FigureRow(N, opt_n0, f"{kind}[optimized]", opt))
+        rows.append(FigureRow(N, 0, "stationary", math.sqrt(worst_case_mse(N, beta))))
     return rows

@@ -89,8 +89,10 @@ def _shown(x) -> str:
 
 
 def _check_int(value, low: int, message: str, high: float = math.inf) -> int:
-    """``int(value)`` for an int or numpy integer in [low, high], else ``ValueError``."""
-    if not (isinstance(value, (int, np.integer)) and low <= value <= high):
+    """``int(value)`` for an int or numpy integer in [low, high], else
+    ``ValueError``; a ``bool`` is not a count."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value <= high):
         raise ValueError(f"{message}, got {_shown(value)}")
     return int(value)
 

@@ -1,5 +1,6 @@
 """Budget-split planning: closed-form suggestion, exact search, half split."""
 
+import hashlib
 import math
 import sys
 
@@ -13,10 +14,14 @@ import mcmc_certify as mc
 from mcmc_certify import cli
 from mcmc_certify import burnin
 from mcmc_certify.burnin import (
+    _EXP_OVERFLOW,
     _FIXED_BITS,
     _LOG2_FIXED,
-    _bound_terms,
+    _LOG_FLOOR,
+    _LOG_TABLE,
     _budget_grid,
+    _log_fixed,
+    _log_k,
     _squared_bounds,
 )
 
@@ -26,6 +31,28 @@ _SCAN_CHUNK = 4_000_000
 _BRACKET = 128
 _MARGIN = 64
 _GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
+
+
+def bound_terms(n, n0, beta, C, kind):
+    """The leading term and the log of the correction term, before any clamp,
+    each step into a fresh array."""
+    lead = 2.0 / (n * (1.0 - beta))
+    if beta > 0.0:
+        damp = np.maximum(n0 * math.log(beta), _LOG_FLOOR)
+    else:
+        damp = np.where(n0 == 0, 0.0, _LOG_FLOOR)
+    return lead, math.log(C) + damp + _log_k(beta, kind) - 2 * np.log(n)
+
+
+def allocating_squared_bounds(n, n0, beta, C, kind):
+    """Oracle: ``_squared_bounds`` with every step into a fresh array."""
+    lead, log_corr = bound_terms(n, n0, beta, C, kind)
+    corr = np.where(
+        log_corr > _EXP_OVERFLOW,
+        np.inf,
+        np.exp(np.minimum(log_corr, _EXP_OVERFLOW)),
+    )
+    return lead + corr
 
 
 def scan_optimize_burnin(query, kind):
@@ -56,7 +83,7 @@ def array_optimize_burnin(query, kind):
     """Oracle: a golden-section search (Kiefer, Proc. AMS 4, 1953) on numpy arrays.
 
     Each round keeps the better probe p and cuts p's longer side at the
-    golden ratio with a probe q, evaluates both through ``_bound_terms`` and
+    golden ratio with a probe q, evaluates both through ``bound_terms`` and
     compares ``np.logaddexp(np.log(lead), log_corr)``, a finite surrogate of
     the squared bound, until the bracket holds ``_BRACKET`` splits.  The
     squared bounds are then scanned on the bracket widened by ``_MARGIN``
@@ -72,7 +99,7 @@ def array_optimize_burnin(query, kind):
         else:
             q = p + int(_GOLDEN_CUT * (hi - p))
         probe = np.array(sorted((p, q)), dtype=np.int64)
-        lead, log_corr = _bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
+        lead, log_corr = bound_terms((N - probe).astype(np.float64), probe, beta, C, kind)
         left, right = np.logaddexp(np.log(lead), log_corr)
         if left <= right:
             hi, p = int(probe[1]), int(probe[0])
@@ -120,6 +147,38 @@ def test_query_validation():
         with pytest.raises(ValueError, match="positive finite") as err:
             mc.BudgetQuery(N=10, beta=0.5, C=C)
         assert len(str(err.value)) < 120
+    # Every field is checked for its type too, so the planners need not
+    # check again: a bool is not a number, and a string is no beta.
+    for beta in ("0.5", None, False, True):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            mc.BudgetQuery(N=100, beta=beta, C=10.0)
+    for C in (True, "10", None):
+        with pytest.raises(ValueError, match="positive finite"):
+            mc.BudgetQuery(N=100, beta=0.5, C=C)
+    with pytest.raises(ValueError, match="budget N"):
+        mc.BudgetQuery(N=True, beta=0.5, C=10.0)
+    query = mc.BudgetQuery(N=100, beta=0.5, C=10.0)
+    for n, n0 in ((True, 0), (10, False), (10.0, 0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            mc.bound_function(query, n, n0, "b4")
+
+
+@pytest.mark.parametrize(
+    "planner",
+    [
+        mc.optimize_burnin,
+        mc.suggested_plan,
+        mc.half_budget_plan,
+        lambda query, kind: mc.bound_function(query, 10, 0, kind),
+        lambda query, kind: mc.figure_series(query, (), kind),
+    ],
+    ids=["optimize_burnin", "suggested_plan", "half_budget_plan", "bound_function",
+         "figure_series"],
+)
+@pytest.mark.parametrize("kind", ["b2", "BINF", None])
+def test_every_public_planner_refuses_an_unknown_kind(planner, kind):
+    with pytest.raises(ValueError, match="kind must be one of"):
+        planner(mc.BudgetQuery(N=100, beta=0.5, C=10.0), kind)
 
 
 def test_query_budget_capped_at_float64_integers():
@@ -221,6 +280,32 @@ def test_bound_function_matches_array_route_on_random_queries():
             assert_bound_function_matches_array_route(query, n0, kind)
 
 
+def test_squared_bounds_in_place_matches_fresh_arrays():
+    """``_squared_bounds`` works on its result and one scratch array; it
+    gives the bits of the same steps into fresh arrays, on windows that
+    reach exp's overflow and the power floor, and leaves its inputs alone."""
+    rng = np.random.default_rng(20261022)
+    queries = [(4, 0.9999999, 1e308), (2_000_000, 0.5, 1e30), (1000, 0.0, 1e300),
+               (1_000_000, 1.0 - 3e-6, sys.float_info.max)]
+    for _ in range(500):
+        N = int(min(2.0**53, 10.0 ** rng.uniform(0.31, 16.0)))
+        beta = 0.0 if rng.uniform() < 0.05 else float(1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        queries.append((N, beta, float(10.0 ** rng.uniform(-5.0, 308.0))))
+    overflowed = floored = 0
+    for N, beta, C in queries:
+        lo = int(rng.integers(0, N))
+        n0s = np.arange(lo, min(lo + 256, N - 1) + 1, dtype=np.int64)
+        n = (N - n0s).astype(np.float64)
+        for kind in mc.BOUND_KINDS:
+            got = _squared_bounds(n, n0s, beta, C, kind)
+            assert np.array_equal(got, allocating_squared_bounds(n, n0s, beta, C, kind))
+            overflowed += int(np.isinf(got).sum())
+            if beta > 0.0:
+                floored += int((n0s * math.log(beta) < _LOG_FLOOR).sum())
+        assert np.array_equal(n, N - n0s) and n0s[0] == lo
+    assert overflowed > 0 and floored > 0
+
+
 # ---------------------------------------------------------------------------
 # Closed-form suggestion
 # ---------------------------------------------------------------------------
@@ -253,6 +338,11 @@ def test_suggested_burnin_validation():
         mc.suggested_burnin(10**5000, 10.0)
     with pytest.raises(ValueError):
         mc.suggested_burnin(0.5, float("nan"))
+    # A bool is not a number, nor is a string.
+    for suggest in (mc.suggested_burnin, mc.suggested_burnin_detail):
+        for beta, C in ((0.5, True), (True, 10.0), ("0.5", 10.0), (0.5, "10")):
+            with pytest.raises(ValueError):
+                suggest(beta, C)
     # An int beyond float64 is refused, not passed to math.isfinite.
     for suggest in (mc.suggested_burnin, mc.suggested_burnin_detail):
         for C in (10**400, 10**5000):
@@ -347,6 +437,58 @@ def test_log2_constant_is_log2_rounded_down():
         assert _LOG2_FIXED == int(mpmath.floor(exact))
 
 
+def log_units(x):
+    """60-digit ``log x`` in units of ``2^-_FIXED_BITS``."""
+    with mpmath.workdps(60):
+        return mpmath.log(mpmath.mpf(x)) * mpmath.mpf(2) ** _FIXED_BITS
+
+
+def test_log_table_entries_match_60_digits():
+    """log(1 + j/64) for the 47 j that a mantissa within 2^(+-1/2) of 1
+    rounds to; each entry is one atanh series, a few units off at most."""
+    assert sorted(_LOG_TABLE) == list(range(-19, 28))
+    for j, entry in _LOG_TABLE.items():
+        assert abs(entry - log_units(mpmath.mpf(64 + j) / 64)) < 2**8, j
+    assert _LOG_TABLE[0] == 0
+
+
+def test_log_fixed_is_exact_on_powers_of_two():
+    for e in range(-1074, 1024):
+        assert _log_fixed(2.0**e) == e * _LOG2_FIXED, e
+    for e in range(0, 1024, 7):
+        assert _log_fixed(2**e) == e * _LOG2_FIXED, e
+
+
+def _reduction_edges():
+    """The floats either side of every edge of _log_fixed's reduction:
+    where round(64 m) moves to the next j, and where round(log2 x) moves to
+    the next exponent, at m = 2^(+-1/2)."""
+    for j in range(-19, 28):
+        for half in (-0.5, 0.5):
+            edge = 1.0 + (j + half) / 64.0
+            yield from (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0))
+    for root in (math.sqrt(0.5), math.sqrt(2.0)):
+        yield from (math.nextafter(root, 0.0), root, math.nextafter(root, 2.0))
+
+
+def test_log_fixed_matches_60_digits():
+    """Within 2^22 units of 2^-192 (2^-170) over the whole float range: random
+    floats, both sides of every reduction edge scaled by random powers of
+    two, subnormals and the largest float."""
+    rng = np.random.default_rng(20261021)
+    xs = [float(2.0 ** rng.uniform(-1074.0, 1024.0)) for _ in range(1500)]
+    xs += [float(x) for x in rng.uniform(0.5, 2.0, 300)]
+    for m in _reduction_edges():
+        for e in (0, -1074 + 60, 1023 - 1, *rng.integers(-1000, 1000, 3)):
+            xs.append(math.ldexp(m, int(e)))
+    tiny = 5e-324
+    xs += [tiny, 2 * tiny, 3 * tiny, 2.0**-1022 - tiny, 2.0**-1030 * 1.7, sys.float_info.max]
+    xs += [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), int(rng.integers(2, 2**62))]
+    for x in xs:
+        if 0.0 < x < math.inf:
+            assert abs(_log_fixed(x) - log_units(x)) < 2**22, x
+
+
 def test_suggested_burnin_matches_50_digits_over_the_whole_range():
     """Seeded (beta, C) from the smallest subnormal to within 1 ulp of 1 and
     of float64's largest value, int C included, plus C = beta^-k and its
@@ -425,10 +567,24 @@ def test_optimize_matches_exhaustive_reference():
 
 
 def test_optimize_bit_identical_to_bound_function():
-    query = mc.BudgetQuery(N=10_000, beta=0.99, C=1e30)
-    for kind in mc.BOUND_KINDS:
-        plan = mc.optimize_burnin(query, kind)
-        assert plan.bound_value == mc.bound_function(query, plan.n, plan.n0, kind)
+    """Every planner's bound_value is bound_function's at its split, bit for bit."""
+    rng = np.random.default_rng(20261020)
+    queries = [mc.BudgetQuery(N=10_000, beta=0.99, C=1e30), mc.BudgetQuery(N=50, beta=0.0, C=1e30)]
+    for _ in range(200):
+        N = int(min(2.0**53, 10.0 ** rng.uniform(0.31, 16.0)))
+        beta = float(1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        queries.append(mc.BudgetQuery(N=N, beta=beta, C=float(10.0 ** rng.uniform(-5.0, 308.0))))
+    for planner in (mc.optimize_burnin, mc.suggested_plan, mc.half_budget_plan):
+        checked = 0
+        for query in queries:
+            for kind in mc.BOUND_KINDS:
+                try:
+                    plan = planner(query, kind)
+                except ValueError:  # suggested_plan: the suggestion fills the budget
+                    continue
+                assert plan.bound_value == mc.bound_function(query, plan.n, plan.n0, kind)
+                checked += 1
+        assert checked >= 150, planner
 
 
 def test_optimize_ties_resolve_to_smaller_burnin():
@@ -748,3 +904,37 @@ def test_figure_series_rejects_bad_choices():
         mc.figure_series(query, (-1,), "b4")
     with pytest.raises(ValueError):
         mc.figure_series(query, (10,), "b2")
+
+
+# ---------------------------------------------------------------------------
+# Pinned bits
+# ---------------------------------------------------------------------------
+
+# SHA-256 of repr() of the planners' outputs on 2000 seeded queries: each
+# planner's (n0, bound_value) for both kinds (None where suggested_plan
+# refuses the query), then suggested_burnin_detail's (n0, ratio, borderline)
+# where beta > 0.  The planners keep their bits, as GOLDEN_SIMULATION pins
+# the simulation's.
+GOLDEN_PLANS = "3de94ad92aa85c9fc1384ff117857b406f0598f22c3c5b5bb4393dd5021e5d76"
+
+
+def test_planners_keep_their_bits():
+    rng = np.random.default_rng(20261019)
+    bits = []
+    for _ in range(2000):
+        N = int(min(2.0**53, 10.0 ** rng.uniform(0.31, 16.0)))
+        beta = 0.0 if rng.uniform() < 0.05 else float(1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        C = float(10.0 ** rng.uniform(-5.0, 308.0))
+        query = mc.BudgetQuery(N=N, beta=beta, C=C)
+        for kind in mc.BOUND_KINDS:
+            for planner in (mc.optimize_burnin, mc.suggested_plan, mc.half_budget_plan):
+                try:
+                    plan = planner(query, kind)
+                except ValueError:
+                    bits.append(None)
+                else:
+                    bits.append((plan.n0, plan.bound_value))
+        if beta > 0.0:
+            detail = mc.suggested_burnin_detail(beta, C)
+            bits.append((detail.n0, detail.ratio, detail.borderline))
+    assert hashlib.sha256(repr(bits).encode()).hexdigest() == GOLDEN_PLANS

@@ -436,6 +436,10 @@ def test_estimator_spec_validation():
         mc.EstimatorSpec(n=1, n0=-1)
     with pytest.raises(ValueError):
         mc.EstimatorSpec(n=1.5, n0=0)
+    # A bool is not a count.
+    for n, n0 in ((True, 0), (1, False), (True, False)):
+        with pytest.raises(ValueError):
+            mc.EstimatorSpec(n=n, n0=n0)
     assert mc.EstimatorSpec(n=3, n0=4).total == 7
 
 
