@@ -45,7 +45,7 @@ from .chain import (
     spectral_decompose,
     weighted_norm,
 )
-from .errors import ZeroMass, _check_count, _shown
+from .errors import _BELOW_ONE, ZeroMass, _check_count, _check_name, _check_real
 from .exact_error import EstimatorSpec, stationary_error
 
 __all__ = [
@@ -78,18 +78,10 @@ def damped_power(b: float, k: int) -> float:
     ``k = 0`` returns exactly 1 (also for ``b = 0``).
     """
     k = _check_count(k, 0, "exponent k")
-    if not (0.0 <= b < 1.0):
-        raise ValueError(f"base b must lie in [0, 1), got {_shown(b)}")
+    b = _check_real(b, 0.0, _BELOW_ONE, "base b must lie in [0, 1)")
     if k == 0:
         return 1.0
     return max(math.pow(b, float(k)), POWER_FLOOR)
-
-
-def _validate_bn(b, n) -> tuple[float, int]:
-    n = _check_count(n, 1, "n")
-    if not (0.0 <= b < 1.0):
-        raise ValueError(f"b must lie in [0, 1), got {_shown(b)}")
-    return float(b), n
 
 
 def v_aggregate(b: float, n: int) -> float:
@@ -100,8 +92,8 @@ def v_aggregate(b: float, n: int) -> float:
     capped by ``2 / (1-b)^2`` for every n.  Evaluated in O(1), to a few ulp
     for every n, by the float64 kernel of :mod:`mcmc_certify._geometric`.
     """
-    b, n = _validate_bn(b, n)
-    return float(v_sum(n, b))
+    n = _check_count(n, 1, "n")
+    return float(v_sum(n, _check_real(b, 0.0, _BELOW_ONE, "b must lie in [0, 1)")))
 
 
 def u_aggregate(b: float, n: int) -> float:
@@ -111,8 +103,8 @@ def u_aggregate(b: float, n: int) -> float:
     route pays for its weaker norm; capped by ``4*sqrt(2)/((1-b)(1-sqrt(b)))``.
     Evaluated in O(1) by the same kernel as :func:`v_aggregate`.
     """
-    b, n = _validate_bn(b, n)
-    return float(u_sum(n, b))
+    n = _check_count(n, 1, "n")
+    return float(u_sum(n, _check_real(b, 0.0, _BELOW_ONE, "b must lie in [0, 1)")))
 
 
 def _one_minus_root(b: float) -> float:
@@ -193,8 +185,7 @@ class BoundReport:
 
 
 def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str):
-    if norm_kind not in NORM_KINDS:
-        raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
+    norm_kind = _check_name(norm_kind, NORM_KINDS, "norm_kind")
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
     dec = spectral_decompose(chain)
@@ -204,7 +195,7 @@ def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind:
         C_density=density_ratio_bound(nu, chain.pi),
         C_pi=mass_floor_bound(chain.pi),
     )
-    return nu, f, dec, constants
+    return norm_kind, nu, f, dec, constants
 
 
 @np.errstate(over="ignore")  # an overflow's inf is the bound
@@ -227,8 +218,8 @@ def bound_general_start(
     ``||g^2||_2 <= ||g||_inf ||g||_2`` — which keeps it below the closed-form
     variant's constant.)
     """
-    nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
-    n, n0 = int(spec.n), int(spec.n0)
+    norm_kind, nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    n, n0 = spec.n, spec.n0
 
     leading = stationary_error(chain, f, n)
     g = f - mean_value(f, chain.pi)
@@ -281,8 +272,8 @@ def bound_theorem(
     replaced by their caps and the centered norms by uncentered ones
     (``||g||_2 <= ||f||_2``, ``||g||_p <= 2 ||f||_p`` otherwise).
     """
-    nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
-    n, n0 = int(spec.n), int(spec.n0)
+    norm_kind, nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    n, n0 = spec.n, spec.n0
 
     beta1, beta = dec.beta1, dec.beta
     penalty = damped_power(beta, n0)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import POWER_FLOOR, _one_minus_root
-from .errors import _check_count, _shown
+from .errors import _ABOVE_ZERO, _BELOW_ONE, _check_count, _check_name, _check_real
 from .exact_error import worst_case_mse
 
 __all__ = [
@@ -76,6 +76,10 @@ _HALF_WINDOW = 128
 _CEIL_MARGIN = 1e-12
 _FIXED_BITS = 192
 _LOG2_FIXED = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D
+# _check_real's domains of the start constant C (a chained comparison, not
+# math.isfinite, which overflows on huge ints) and of the suggestion's beta.
+_C_RULE = (_ABOVE_ZERO, sys.float_info.max, "C must be a positive finite number")
+_BETA_RULE = (_ABOVE_ZERO, _BELOW_ONE, "beta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,10 @@ class BudgetQuery:
     C: float
 
     def __post_init__(self) -> None:
-        _check_count(self.N, 2, "budget N")
-        if not (_is_number(self.beta) and 0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {_shown(self.beta)}")
-        _check_constant(self.C)
+        object.__setattr__(self, "N", _check_count(self.N, 2, "budget N"))
+        beta = _check_real(self.beta, 0.0, _BELOW_ONE, "beta must lie in [0, 1)")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "C", _check_real(self.C, *_C_RULE))
 
 
 @dataclass(frozen=True)
@@ -124,23 +128,6 @@ class BurninSuggestion:
     n0: int
     ratio: float
     borderline: bool
-
-
-def _is_number(x) -> bool:
-    """An int or float, ``bool`` excluded: ``True`` is not a constant."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_constant(C: float) -> None:
-    # A chained comparison, not math.isfinite, which overflows on huge ints.
-    if not (_is_number(C) and 0.0 < C <= sys.float_info.max):
-        raise ValueError(f"C must be a positive finite number, got {_shown(C)}")
-
-
-def _check_suggestion_args(beta: float, C: float) -> None:
-    if not (_is_number(beta) and 0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {_shown(beta)}")
-    _check_constant(C)
 
 
 def _log_near_one(num: int, den: int) -> int:
@@ -189,8 +176,7 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
     and not borderline.
     The planners call the same code on a ``BudgetQuery``'s checked values.
     """
-    _check_suggestion_args(beta, C)
-    return _suggestion(beta, C)
+    return _suggestion(_check_real(beta, *_BETA_RULE), _check_real(C, *_C_RULE))
 
 
 def _suggestion(beta: float, C: float) -> BurninSuggestion:
@@ -209,8 +195,7 @@ def suggested_burnin(beta: float, C: float) -> int:
     settles ``n0`` unless it lies within ``_CEIL_MARGIN`` (relative) of an
     integer, where ``suggested_burnin_detail`` does.
     """
-    _check_suggestion_args(beta, C)
-    return _suggested_n0(beta, C)
+    return _suggested_n0(_check_real(beta, *_BETA_RULE), _check_real(C, *_C_RULE))
 
 
 def _suggested_n0(beta: float, C: float) -> int:
@@ -272,18 +257,13 @@ def _bound(beta: float, C: float, n: int, n0: int, kind: str) -> float:
     return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"kind must be one of {BOUND_KINDS}, got {kind!r}")
-
-
 def bound_function(query: BudgetQuery, n: int, n0: int, kind: str) -> float:
     """Evaluate the worst-case bound (not squared) at an explicit split.
 
     This 1/n^2-correction family reproduces the published burn-in choices
     and is what all planners here minimize.
     """
-    _check_kind(kind)
+    kind = _check_name(kind, BOUND_KINDS, "kind")
     n = _check_count(n, 1, "window length n")
     n0 = _check_count(n0, 0, "burn-in n0")
     return _bound(query.beta, query.C, n, n0, kind)
@@ -320,7 +300,7 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     Ties resolve to the smallest burn-in in the window, and
     an all-``inf`` window gives ``n0 = 0``.  O(1) work.
     """
-    _check_kind(kind)
+    kind = _check_name(kind, BOUND_KINDS, "kind")
     n0, value = _optimal_split(query.N, query.beta, query.C, kind)
     return BurninPlan(n0=n0, n=query.N - n0, bound_value=value, strategy="optimized")
 
@@ -350,7 +330,7 @@ def _optimal_split(N: int, beta: float, C: float, kind: str) -> tuple[int, float
 
 def suggested_plan(query: BudgetQuery, kind: str) -> BurninPlan:
     """Plan using the closed-form suggestion; rejects an all-burn-in split."""
-    _check_kind(kind)
+    kind = _check_name(kind, BOUND_KINDS, "kind")
     n0 = _suggested_n0(query.beta, query.C) if query.beta > 0.0 else 0
     if n0 >= query.N:
         raise ValueError(
@@ -372,7 +352,7 @@ def half_budget_plan(query: BudgetQuery, kind: str) -> BurninPlan:
     reported ``penalty_vs_stationary`` converges to sqrt(2) as N grows — the
     documented price of spending half the budget on burn-in forever.
     """
-    _check_kind(kind)
+    kind = _check_name(kind, BOUND_KINDS, "kind")
     n0 = query.N // 2
     n = query.N - n0
     value = _bound(query.beta, query.C, n, n0, kind)
@@ -419,7 +399,7 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     start penalty; oversized choices waste averaging steps instead, shifting
     their curve to larger budgets.
     """
-    _check_kind(kind)
+    kind = _check_name(kind, BOUND_KINDS, "kind")
     beta, C = query.beta, query.C
     fixed = []
     for c in n0_choices:

@@ -38,7 +38,7 @@ from .errors import (
     SpectralFailure,
     TooLarge,
     ZeroMass,
-    _shown,
+    _check_name,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300
 
-_VALID_P = {1, 2, 4, np.inf}
+_VALID_P = (1, 2, 4, np.inf)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -415,8 +415,7 @@ def weighted_norm(f, pi, p) -> float:
     ``p`` may be 1, 2, 4 or ``numpy.inf``; the sup norm ignores the weights
     (it is ``max |f|`` regardless of pi).
     """
-    if p not in _VALID_P:
-        raise ValueError(f"p must be one of 1, 2, 4, inf; got {_shown(p)}")
+    p = _check_name(p, _VALID_P, "p")
     f = np.asarray(f, dtype=np.float64)
     if p == np.inf:
         return float(np.max(np.abs(f)))

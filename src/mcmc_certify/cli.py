@@ -202,8 +202,8 @@ def cmd_error(args) -> int:
         }
 
     doc = {
-        "n": int(spec.n),
-        "n0": int(spec.n0),
+        "n": spec.n,
+        "n0": spec.n0,
         "asymptotic_constant": asymptotic_constant(chain, f),
         "constants": {
             "beta1": constants.beta1,
@@ -369,6 +369,7 @@ def cmd_simulate_check(args) -> int:
                     "std_error": emp.std_error,
                     "z": z,
                     "tightest_bound": bound_floor,
+                    "exact_within_bound": bound_floor >= exact,
                     "pass": passed,
                 }
             )

@@ -4,10 +4,11 @@ Everything raised on purpose by this package derives from :class:`ChainError`,
 so callers can catch one type at API boundaries.  Plain ``ValueError`` is
 reserved for malformed *parameters* (wrong shapes, out-of-range scalars);
 the subclasses below signal that the mathematical object itself is unusable.
-The one check of integer parameters (window, burn-in, budget, exponent,
-replications, seed) lives here too, so every module words its refusal, and
-shows an int beyond float64 by its bit length, the same way; so does the one
-ceiling of counts used as floats, 2**53.
+The one rule for scalar parameters lives here too: counts, real numbers and
+names, where a numpy scalar is the Python value it holds and a ``bool`` is
+no number.  So every module words its refusal, and shows an int beyond
+float64 by its bit length, the same way; so does the one ceiling of counts
+used as floats, 2**53.
 """
 
 import math
@@ -99,4 +100,35 @@ def _check_int(value, low: int, message: str, high: float = math.inf) -> int:
 
 def _check_count(value, low: int, what: str) -> int:
     """``_check_int`` for a count used as a float: an integer in [low, 2**53]."""
+    if type(value) is int and low <= value <= _COUNT_MAX:
+        return value  # a Python int, without building the message
     return _check_int(value, low, f"{what} must be an integer in [{low}, 2**53]", _COUNT_MAX)
+
+
+# The closed ends that stand for the open ends of [0, 1) and (0, 1), and the
+# types of Python's own numbers and names, which skip the numpy scalar test.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_ABOVE_ZERO = math.ulp(0.0)
+_REAL, _NAMED = (int, float), (str, int, float)
+
+
+def _check_real(value, low: float, high: float, message: str):
+    """``value`` for a real number in [low, high], a numpy scalar as the
+    Python number it holds, else ``ValueError``; a ``bool`` is not a number."""
+    if type(value) in _REAL and low <= value <= high:
+        return value
+    number = value.item() if isinstance(value, np.generic) else None
+    if type(number) not in _REAL or not low <= number <= high:
+        raise ValueError(f"{message}, got {_shown(value)}")
+    return number
+
+
+def _check_name(value, names: tuple, what: str):
+    """The one of ``names`` that ``value`` is, a numpy scalar as the Python
+    value it holds, else ``ValueError``; a ``bool`` is none of them."""
+    if type(value) in _NAMED and value in names:
+        return value
+    plain = value.item() if isinstance(value, np.generic) else None
+    if type(plain) not in _NAMED or plain not in names:
+        raise ValueError(f"{what} must be one of {names}, got {_shown(value)}")
+    return plain

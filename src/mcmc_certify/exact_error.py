@@ -44,7 +44,7 @@ from .chain import (
     spectral_decompose,
     weighted_inner,
 )
-from .errors import BudgetOverflow, _check_count, _shown
+from .errors import _BELOW_ONE, BudgetOverflow, _check_count, _check_int, _check_real
 
 __all__ = [
     "EstimatorSpec",
@@ -77,13 +77,13 @@ class EstimatorSpec:
     n0: int
 
     def __post_init__(self) -> None:
-        _check_count(self.n, 1, "window length n")
-        _check_count(self.n0, 0, "burn-in n0")
+        object.__setattr__(self, "n", _check_count(self.n, 1, "window length n"))
+        object.__setattr__(self, "n0", _check_count(self.n0, 0, "burn-in n0"))
 
     @property
     def total(self) -> int:
         """Total trajectory length ``n + n0`` consumed by the estimator."""
-        return int(self.n) + int(self.n0)
+        return self.n + self.n0
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +114,7 @@ def w_factor(n: int, b: float) -> float:
     float64 kernel of :mod:`mcmc_certify._geometric`.
     """
     n = _check_count(n, 1, "n")
-    if not (-1.0 <= b < 1.0):
-        raise ValueError(f"b must lie in [-1, 1), got {_shown(b)}")
+    b = _check_real(b, -1.0, _BELOW_ONE, "b must lie in [-1, 1)")
     if n == 1:
         return 1.0  # the empty sum, exactly
     return float(window_weight(n, b))
@@ -180,7 +179,7 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
-    n, n0 = int(spec.n), int(spec.n0)
+    n, n0 = spec.n, spec.n0
     chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
     pi = chain.pi
@@ -250,9 +249,7 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
-    n, n0 = int(spec.n), int(spec.n0)
-    if n > 50:
-        raise ValueError("naive cross-check is restricted to n <= 50")
+    n, n0 = _check_int(spec.n, 1, "naive cross-check is restricted to n <= 50", 50), spec.n0
     if n0 + n - 1 > _WALK_CAP:
         raise BudgetOverflow(f"the walk takes {n0 + n - 1} steps, cap is {_WALK_CAP}")
 

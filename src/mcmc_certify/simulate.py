@@ -81,8 +81,10 @@ class SimulationConfig:
     spec: EstimatorSpec
 
     def __post_init__(self) -> None:
-        _check_int(self.replications, 2, "replications must be an integer >= 2")
-        _check_int(self.seed, 0, "seed must be an integer in [0, 2**128)", 2**128 - 1)
+        R = _check_int(self.replications, 2, "replications must be an integer >= 2")
+        object.__setattr__(self, "replications", R)
+        seed = _check_int(self.seed, 0, "seed must be an integer in [0, 2**128)", 2**128 - 1)
+        object.__setattr__(self, "seed", seed)
         if not isinstance(self.spec, EstimatorSpec):
             raise ValueError("spec must be an EstimatorSpec")
 
@@ -337,26 +339,24 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     """Empirical MSE of the burn-in estimator over R seeded replications.
 
     Replication i consumes row i of the Philox uniform block.  The R
-    replications run as contiguous chunks on up to one worker thread per
-    usable core, each chunk from its own generator positioned at its first
-    row, and within a chunk in lock-step, a batch of whole replications at a
-    time, vectorized across the batch one time step at a time.  The result
-    is bit-identical for every worker count and batch size.  Every step,
-    the start draw included, is a guide-table lookup and ceil(log2(w+1))
-    branchless compares, w being the most CDF breakpoints of one bucket.
-    Memory is at most 16 MiB of column and walk buffers (or one
-    replication, if longer), 128 KiB of drawn uniforms per worker, a few
-    doubles per replication, two words per positive entry of P and nu
-    (three with one bucket a row, and per padding entry), and at most 4 MiB
-    of guide with f at each row's key.  ``std_error`` is the sample
-    standard deviation of the squared errors divided by sqrt(R).  Raises :class:`BudgetOverflow` before
-    anything is allocated if one replication takes more than 2**27 uniforms
-    or R exceeds 2**27.
+    replications run as contiguous chunks on k worker threads, each chunk from
+    its own generator positioned at its first row, and within a chunk in
+    lock-step, a batch of whole replications at a time, vectorized across the
+    batch one time step at a time.  k is at most the usable cores, and k workers
+    need k <= R/8192 and n+n0 <= 256/k - 4 (124 on two cores): longer windows
+    run on one core.  The result is bit-identical for every worker count and
+    batch size.  Each step, the start draw included, is a guide-table lookup and
+    a few branchless compares.  Memory is at most 16 MiB of column and walk
+    buffers (or one replication, if longer), 128 KiB of drawn uniforms per
+    worker, a few doubles per replication, two words per positive entry of P and
+    nu (three with one bucket a row, and per padding entry), and at most 4 MiB
+    of guide with f at each row's key.  ``std_error`` is the sample standard
+    deviation of the squared errors divided by sqrt(R).  Raises
+    :class:`BudgetOverflow` before anything is allocated if one replication
+    takes more than 2**27 uniforms or R exceeds 2**27.
     """
     spec = config.spec
-    n, n0 = int(spec.n), int(spec.n0)
-    length = spec.total
-    R = int(config.replications)
+    n, n0, length, R = spec.n, spec.n0, spec.total, config.replications
     if length > _WALK_CAP:
         raise BudgetOverflow(f"one replication takes {length} uniforms, cap is {_WALK_CAP}")
     if R > _REPLICATION_CAP:
@@ -364,7 +364,7 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f = _check_length(chain, f, "function")
 
-    deviations = _window_sums(int(config.seed), _guide(chain.P, nu, f), n0, length, R)
+    deviations = _window_sums(config.seed, _guide(chain.P, nu, f), n0, length, R)
     deviations /= n  # in place: window averages, then their deviations
     deviations -= mean_value(f, chain.pi)
     squared = deviations * deviations
@@ -372,5 +372,5 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
         mse_hat=float(squared.mean()),
         std_error=float(squared.std(ddof=1) / np.sqrt(R)),
         replications=R,
-        seed=int(config.seed),
+        seed=config.seed,
     )

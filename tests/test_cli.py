@@ -416,6 +416,9 @@ def test_simulate_check_small(capsys):
         assert case["pass"] is True
         assert case["z"] <= 4.0
         assert case["tightest_bound"] >= case["mse_hat"] - 4.0 * case["std_error"]
+        # The deterministic soundness check, reported beside the 4-sigma one.
+        assert case["exact_within_bound"] is True
+        assert case["tightest_bound"] >= case["exact_mse"]
 
 
 # SHA-256 of repr([(mse_hat, std_error), ...]) over the 18 cases of

@@ -1,11 +1,15 @@
 """The package surface: what ``import mcmc_certify`` loads and exports."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mcmc_certify as mc
@@ -90,16 +94,39 @@ _COUNTS = {
     "figure_series.n0_choices": lambda v: mc.figure_series(_QUERY, [v], "binf"),
     "BudgetQuery.N": lambda v: mc.BudgetQuery(N=v, beta=0.5, C=10.0),
 }
-# Those bounded above too: the counts, the seed by 2**128 (a Philox key).
+# Every real or named parameter: a call setting it to v, and a valid v.
+_START = ([1.0, 0.0], [0.0, 1.0], mc.EstimatorSpec(n=3, n0=1))
+_SCALARS = {
+    "w_factor.b": (lambda v: mc.w_factor(5, v), 0.5),
+    "worst_case_mse.b": (lambda v: mc.worst_case_mse(5, v), 0.5),
+    "damped_power.b": (lambda v: mc.damped_power(v, 3), 0.5),
+    "v_aggregate.b": (lambda v: mc.v_aggregate(v, 3), 0.5),
+    "u_aggregate.b": (lambda v: mc.u_aggregate(v, 3), 0.5),
+    "BudgetQuery.beta": (lambda v: mc.BudgetQuery(N=10, beta=v, C=10.0), 0.5),
+    "BudgetQuery.C": (lambda v: mc.BudgetQuery(N=10, beta=0.5, C=v), 0.5),
+    "suggested_burnin.beta": (lambda v: mc.suggested_burnin(v, 10.0), 0.5),
+    "suggested_burnin.C": (lambda v: mc.suggested_burnin(0.5, v), 0.5),
+    "suggested_burnin_detail.beta": (lambda v: mc.suggested_burnin_detail(v, 10.0), 0.5),
+    "suggested_burnin_detail.C": (lambda v: mc.suggested_burnin_detail(0.5, v), 0.5),
+    "bound_theorem.norm_kind": (lambda v: mc.bound_theorem(_FAIR, *_START, v), "l4"),
+    "bound_general_start.norm_kind": (lambda v: mc.bound_general_start(_FAIR, *_START, v), "l4"),
+    "optimize_burnin.kind": (lambda v: mc.optimize_burnin(_QUERY, v), "b4"),
+    "suggested_plan.kind": (lambda v: mc.suggested_plan(_QUERY, v), "b4"),
+    "half_budget_plan.kind": (lambda v: mc.half_budget_plan(_QUERY, v), "b4"),
+    "bound_function.kind": (lambda v: mc.bound_function(_QUERY, 5, 1, v), "b4"),
+    "figure_series.kind": (lambda v: mc.figure_series(_QUERY, [2], v), "b4"),
+    "weighted_norm.p": (lambda v: weighted_norm([1.0, -3.0], [0.5, 0.5], v), 4),
+}
+# The numpy scalars that hold the same value as a Python one.
+_TWINS = {float: (np.float32, np.float64), str: (np.str_,), int: (np.int64, np.float32, np.float64)}
+# Those bounded above too: the counts, the seed by 2**128 (a Philox key),
+# and every real or named parameter.
 _EITHER_SIDE = {
     **_COUNTS,
     "SimulationConfig.seed": lambda v: mc.SimulationConfig(
         replications=2, seed=v, spec=_SPEC
     ),
-    "w_factor.b": lambda v: mc.w_factor(5, v),
-    "damped_power.b": lambda v: mc.damped_power(v, 3),
-    "v_aggregate.b": lambda v: mc.v_aggregate(v, 3),
-    "weighted_norm.p": lambda v: weighted_norm([1.0], [1.0], v),
+    **{name: call for name, (call, _) in _SCALARS.items()},
 }
 _NEGATIVE = {"-1e5000": -(10**5000), "-1e400": -(10**400)}
 _POSITIVE = {"1e5000": 10**5000, "1e400": 10**400}
@@ -141,3 +168,36 @@ def test_huge_int_above_a_resource_cap_is_budget_overflow(value):
     with pytest.raises(BudgetOverflow, match=message) as err:
         mc.estimate_error(_FAIR, [1.0, 0.0], [1.0, 0.0], config)
     assert len(str(err.value)) < 120
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("call", [call for call, _ in _SCALARS.values()], ids=list(_SCALARS))
+def test_scalar_parameter_refuses_a_non_number_with_its_message(call, value):
+    # A ValueError in the library's words, not a TypeError from a comparison:
+    # a bool is no number and no name, numpy's included.
+    with pytest.raises(ValueError, match=re.escape(f", got {value!r}") + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, valid", list(_SCALARS.values()), ids=list(_SCALARS))
+def test_numpy_scalar_counts_as_the_python_value_it_holds(call, valid):
+    # Equal reprs: the same numbers, and no numpy scalar carried into them.
+    want = repr(call(valid))
+    for twin in _TWINS[type(valid)]:
+        assert repr(call(twin(valid))) == want, twin
+
+
+def test_gates_keep_python_ints_that_json_can_write():
+    query = mc.BudgetQuery(N=np.int64(1000), beta=0.5, C=2.0)
+    assert type(query.N) is int and query == mc.BudgetQuery(N=1000, beta=0.5, C=2.0)
+    for kind in mc.BOUND_KINDS:
+        for planner in (mc.optimize_burnin, mc.suggested_plan, mc.half_budget_plan):
+            plan = planner(query, kind)
+            assert type(plan.n0) is int and type(plan.n) is int
+            json.dumps(vars(plan))
+    spec = mc.EstimatorSpec(np.int64(3), np.int64(1))
+    config = mc.SimulationConfig(replications=np.int32(100), seed=np.uint64(2**63), spec=spec)
+    for value in (spec.n, spec.n0, spec.total, config.replications, config.seed):
+        assert type(value) is int
+    json.dumps(vars(spec))
+    json.dumps(dataclasses.asdict(config))
