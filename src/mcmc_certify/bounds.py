@@ -24,8 +24,9 @@ Both families take their start constants from here: :func:`density_ratio_bound`
 (``C_density``) and :func:`mass_floor_bound` (``C_pi``); :func:`chi2_contrast`
 of the start against ``pi`` is reported beside them.
 
-A function whose squared norms overflow float64 gets the bound ``inf``,
-which is still an upper bound, and no floating-point warning.
+Both families work on :func:`~mcmc_certify.chain._scaled` f and multiply by
+``s * s`` once, so a bound beyond float64 is ``inf``, which is still an upper
+bound, and no floating-point warning.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .chain import (
     _MASS_FLOOR,
     ReversibleChain,
     _check_length,
+    _scaled,
     as_distribution,
     mean_value,
     spectral_decompose,
@@ -79,8 +81,6 @@ def damped_power(b: float, k: int) -> float:
     """
     k = _check_count(k, 0, "exponent k")
     b = _check_real(b, 0.0, _BELOW_ONE, "base b must lie in [0, 1)")
-    if k == 0:
-        return 1.0
     return max(math.pow(b, float(k)), POWER_FLOOR)
 
 
@@ -110,15 +110,6 @@ def u_aggregate(b: float, n: int) -> float:
 def _one_minus_root(b: float) -> float:
     """``1 - sqrt(b)`` as ``(1-b)/(1+sqrt(b))``, which does not cancel as ``b -> 1``."""
     return (1.0 - b) / (1.0 + math.sqrt(b))
-
-
-def _squared(x: float) -> float:
-    """``x ** 2``, or ``inf`` where the Python float power raises on overflow
-    (numpy's products overflow to ``inf`` on the other routes)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def _from_start(aggregate, b: float, n: int) -> float:
@@ -187,7 +178,7 @@ class BoundReport:
 def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str):
     norm_kind = _check_name(norm_kind, NORM_KINDS, "norm_kind")
     nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f = _check_length(chain, f, "function")
+    f, s = _scaled(_check_length(chain, f, "function"))
     dec = spectral_decompose(chain)
     constants = BoundConstants(
         beta1=dec.beta1,
@@ -195,10 +186,15 @@ def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind:
         C_density=density_ratio_bound(nu, chain.pi),
         C_pi=mass_floor_bound(chain.pi),
     )
-    return norm_kind, nu, f, dec, constants
+    return norm_kind, s, f, dec, constants
 
 
-@np.errstate(over="ignore")  # an overflow's inf is the bound
+def _report(norm_kind, leading, correction, s, constants) -> BoundReport:
+    """The report of terms computed on ``f / s``, each multiplied by ``s * s``."""
+    leading, correction = leading * s * s, correction * s * s
+    return BoundReport(norm_kind, leading, correction, leading + correction, constants)
+
+
 def bound_general_start(
     chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str
 ) -> BoundReport:
@@ -218,7 +214,7 @@ def bound_general_start(
     ``||g^2||_2 <= ||g||_inf ||g||_2`` — which keeps it below the closed-form
     variant's constant.)
     """
-    norm_kind, nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    norm_kind, s, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
     n, n0 = spec.n, spec.n0
 
     leading = stationary_error(chain, f, n)
@@ -239,20 +235,13 @@ def bound_general_start(
         factor = math.sqrt(constants.C_density)
         norms = weighted_norm(g, chain.pi, np.inf) * weighted_norm(g, chain.pi, 2)
 
-    # A start at pi carries no penalty, also where the norms overflow to inf.
+    # A start at pi or a zero norm carries no penalty, even where the other factor is inf.
     correction = (
-        aggregate * penalty * factor * norms / (float(n) * float(n)) if factor else 0.0
+        aggregate * penalty * factor * norms / (float(n) * float(n)) if factor and norms else 0.0
     )
-    return BoundReport(
-        norm_kind=norm_kind,
-        leading_term=leading,
-        correction_term=correction,
-        total=leading + correction,
-        constants=constants,
-    )
+    return _report(norm_kind, leading, correction, s, constants)
 
 
-@np.errstate(over="ignore")  # an overflow's inf is the bound
 def bound_theorem(
     chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str
 ) -> BoundReport:
@@ -272,7 +261,7 @@ def bound_theorem(
     replaced by their caps and the centered norms by uncentered ones
     (``||g||_2 <= ||f||_2``, ``||g||_p <= 2 ||f||_p`` otherwise).
     """
-    norm_kind, nu, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    norm_kind, s, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
     n, n0 = spec.n, spec.n0
 
     beta1, beta = dec.beta1, dec.beta
@@ -287,15 +276,9 @@ def bound_theorem(
         norm_sq = weighted_norm(f, chain.pi, 4) ** 2
         corr_const = 16.0 * _SQRT2 * root_c / ((1.0 - beta) * _one_minus_root(beta))
     else:
-        norm_sq = _squared(weighted_norm(f, chain.pi, np.inf))
+        norm_sq = weighted_norm(f, chain.pi, np.inf) ** 2
         corr_const = 4.0 * root_c / (1.0 - beta) ** 2
 
     leading = 2.0 * norm_sq / (n_f * (1.0 - beta1))
-    correction = corr_const * penalty * norm_sq / (n_f * n_f) if root_c else 0.0
-    return BoundReport(
-        norm_kind=norm_kind,
-        leading_term=leading,
-        correction_term=correction,
-        total=leading + correction,
-        constants=constants,
-    )
+    correction = corr_const * penalty * norm_sq / (n_f * n_f) if root_c and norm_sq else 0.0
+    return _report(norm_kind, leading, correction, s, constants)

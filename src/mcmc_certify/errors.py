@@ -57,10 +57,10 @@ class BudgetOverflow(ChainError):
 
     Raised by :func:`~mcmc_certify.simulate.estimate_error` when one
     replication would take more than 2**27 uniforms (a column buffer holds
-    at least one whole replication) or when more than 2**27 replications are
-    asked for (one double each), by
-    :func:`~mcmc_certify.exact_error.exact_error_naive` when its walk would
-    take more than 2**27 steps, and by
+    at least one whole replication), when more than 2**27 replications are
+    asked for (one double each) or for a simulated MSE that overflows
+    float64, by :func:`~mcmc_certify.exact_error.exact_error_naive` when its
+    walk would take more than 2**27 steps, and by
     :func:`~mcmc_certify.exact_error.exact_error` when the start is still
     concentrated on states of small pi after 4096 exact steps or when the
     MSE overflows float64.

@@ -37,6 +37,7 @@ from ._geometric import pair_sums, window_weight
 from .chain import (
     ReversibleChain,
     _check_length,
+    _scaled,
     _with_balanced_pi,
     as_distribution,
     mean_value,
@@ -132,27 +133,22 @@ def worst_case_mse(n: int, beta1: float) -> float:
 def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} a_k^2 W(n, lam_k)``."""
     n = _check_count(n, 1, "window length n")
-    f = _check_length(chain, f, "function")
+    f, s = _scaled(_check_length(chain, f, "function"))
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]
     weights = window_weight(n, dec.eigenvalues[1:])
-    return float(np.dot(a * a, weights)) / (float(n) * float(n))
+    return float(np.dot(a * a, weights)) / (float(n) * float(n)) * s * s
 
 
-@np.errstate(over="ignore")  # inf where the sum overflows float64
 def asymptotic_constant(chain: ReversibleChain, f) -> float:
-    """Limit of ``n * mse``: ``sum_{k>=1} a_k^2 (1 + lam_k) / (1 - lam_k)``.
-
-    ``inf`` where the sum overflows float64.
-    """
-    f = _check_length(chain, f, "function")
+    """Limit of ``n * mse``: ``sum_{k>=1} a_k^2 (1 + lam_k) / (1 - lam_k)``, inf past float64."""
+    f, s = _scaled(_check_length(chain, f, "function"))
     dec = spectral_decompose(chain)
     a = spectral_coefficients(dec, f, chain.pi)[1:]
     lam = dec.eigenvalues[1:]
-    return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam)))
+    return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam))) * s * s
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite MSE is refused instead
 def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErrorReport:
     """Exact MSE of the burn-in estimator, with its decomposition.
 
@@ -175,10 +171,10 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
 
     Raises :class:`BudgetOverflow` if the start is still concentrated on
     states of small pi after 4096 steps and the window goes on beyond them,
-    or if the MSE is not finite in float64 (f too large to square).
+    or if the MSE itself exceeds float64.
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f = _check_length(chain, f, "function")
+    f, s = _scaled(_check_length(chain, f, "function"))
     n, n0 = spec.n, spec.n0
     chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
@@ -224,16 +220,16 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     corr_diag = diagonal / n2
     corr_cross = 2.0 * cross / n2
     correction = corr_diag + corr_cross
-    mse = stationary + correction
+    mse = (stationary + correction) * s * s
     if not np.isfinite(mse):
         raise BudgetOverflow(f"the exact MSE overflows float64 (it comes out {mse!r})")
     return ExactErrorReport(
         mse=mse,
-        stationary_mse=stationary,
-        correction=correction,
-        correction_diagonal=corr_diag,
-        correction_cross=corr_cross,
-        asymptotic_constant=asymptotic_constant(chain, f),
+        stationary_mse=stationary * s * s,
+        correction=correction * s * s,
+        correction_diagonal=corr_diag * s * s,
+        correction_cross=corr_cross * s * s,
+        asymptotic_constant=asymptotic_constant(chain, f) * s * s,
     )
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ReversibleChain, _check_length, as_distribution, mean_value
+from .chain import ReversibleChain, _check_length, _scaled, as_distribution, mean_value
 from .errors import BudgetOverflow, _check_int, _shown
 from .exact_error import _WALK_CAP, EstimatorSpec
 
@@ -351,9 +351,10 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     worker, a few doubles per replication, two words per positive entry of P and
     nu (three with one bucket a row, and per padding entry), and at most 4 MiB
     of guide with f at each row's key.  ``std_error`` is the sample standard
-    deviation of the squared errors divided by sqrt(R).  Raises
-    :class:`BudgetOverflow` before anything is allocated if one replication
-    takes more than 2**27 uniforms or R exceeds 2**27.
+    deviation of the squared errors divided by sqrt(R); both are computed on
+    :func:`~mcmc_certify.chain._scaled` f.  Raises :class:`BudgetOverflow`
+    before anything is allocated if one replication takes more than 2**27
+    uniforms or R exceeds 2**27, and if the MSE exceeds float64.
     """
     spec = config.spec
     n, n0, length, R = spec.n, spec.n0, spec.total, config.replications
@@ -362,15 +363,18 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     if R > _REPLICATION_CAP:
         raise BudgetOverflow(f"replications must be at most {_REPLICATION_CAP}, got {_shown(R)}")
     nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f = _check_length(chain, f, "function")
+    f, s = _scaled(_check_length(chain, f, "function"))
 
     deviations = _window_sums(config.seed, _guide(chain.P, nu, f), n0, length, R)
     deviations /= n  # in place: window averages, then their deviations
     deviations -= mean_value(f, chain.pi)
     squared = deviations * deviations
+    mse_hat = float(squared.mean()) * s * s
+    if not np.isfinite(mse_hat):
+        raise BudgetOverflow(f"the simulated MSE overflows float64 (it comes out {mse_hat!r})")
     return EmpiricalErrorReport(
-        mse_hat=float(squared.mean()),
-        std_error=float(squared.std(ddof=1) / np.sqrt(R)),
+        mse_hat=mse_hat,
+        std_error=float(squared.std(ddof=1) / np.sqrt(R)) * s * s,
         replications=R,
         seed=config.seed,
     )

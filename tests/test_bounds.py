@@ -312,12 +312,14 @@ def test_bounds_of_a_huge_function_are_inf_on_every_route(suite, kind, chain_nam
                 assert report.correction_term == 0.0, (route, kind)
 
 
-def test_sup_norm_bound_squares_as_before_below_overflow(suite):
-    # Just below the overflow the closed-form sup-norm route still takes
-    # the Python float square of ||f||_inf.
+def test_sup_norm_bound_is_finite_where_twice_its_square_is_not(suite):
+    # 2 * 1e154**2 overflows before the division by n (1 - beta1), but the
+    # leading term, 1.94e307, does not: the closed-form sup-norm route
+    # squares ||f||_inf / 2**511 and multiplies by 2**511 twice.
     chain = suite["birth_death_six"]
-    sup = 1e154
+    sup, scale = 1e154, 2.0**511
     f = sup / 5.0 * np.arange(6.0)
     report = mc.bound_theorem(chain, np.eye(6)[0], f, mc.EstimatorSpec(n=100, n0=5), "linf")
     beta1 = report.constants.beta1
-    assert report.leading_term == 2.0 * sup**2 / (100.0 * (1.0 - beta1))
+    expected = 2.0 * (sup / scale) ** 2 / (100.0 * (1.0 - beta1)) * scale * scale
+    assert report.leading_term == expected and math.isfinite(expected)

@@ -110,6 +110,29 @@ def test_error_single_norm_and_simulation(capsys, chain_file):
     assert doc2["simulation"]["mse_hat"] == sim["mse_hat"]
 
 
+def test_error_human_output(capsys, chain_file):
+    # The text mode prints the numbers of the JSON document to 6 digits.
+    argv = ["error", chain_file, "30", "3", "--exact", "--simulate", "2000", "1"]
+    code, doc = run_json(capsys, [*argv, "--json"])
+    assert code == 0
+    assert cli.main(argv) == 0
+
+    def g(x):
+        return format(x, ".6g")
+
+    want = ["window n=30  burn-in n0=3", f"asymptotic constant: {g(doc['asymptotic_constant'])}"]
+    for kind in mc.NORM_KINDS:
+        thm, gen = doc["bounds"][kind]["theorem"], doc["bounds"][kind]["general"]
+        want.append(f"bound[{kind}]   closed-form: {g(thm['total'])} "
+                    f"(lead {g(thm['leading_term'])}, corr {g(thm['correction_term'])})")
+        want.append(f"bound[{kind}]   sharp:       {g(gen['total'])}")
+    exact, sim = doc["exact"], doc["simulation"]
+    want.append(f"exact mse: {g(exact['mse'])} (stationary {g(exact['stationary_mse'])}, "
+                f"correction {g(exact['correction'])})")
+    want.append(f"simulated mse: {g(sim['mse_hat'])} +- {g(sim['std_error'])} (R=2000, seed=1)")
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_error_requires_function(capsys, tmp_path):
     path = tmp_path / "no_f.json"
     path.write_text(json.dumps({"P": TWO_STATE["P"]}))
@@ -300,6 +323,19 @@ def test_exact_error_of_a_huge_function_is_a_budget_overflow(capsys, tmp_path):
     assert line.startswith("error: BudgetOverflow: the exact MSE overflows float64"), line
 
 
+def test_simulated_error_of_a_huge_function_is_a_budget_overflow(capsys, tmp_path):
+    # The simulated MSE is about 3e321: exit 3, as with --exact, not a null
+    # mse_hat after numpy's overflow warnings.
+    argv = ["error", _huge_function_file(tmp_path), "100", "5", "--simulate", "200", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: BudgetOverflow: the simulated MSE overflows float64"), line
+
+
 def test_exit_code_trapped_start(capsys, tmp_path):
     # The start holds pi = 1e-30 and keeps the chain for 1e6 steps on
     # average; a window past the 4096 exact steps is refused.
@@ -419,6 +455,24 @@ def test_simulate_check_small(capsys):
         # The deterministic soundness check, reported beside the 4-sigma one.
         assert case["exact_within_bound"] is True
         assert case["tightest_bound"] >= case["exact_mse"]
+
+
+@pytest.mark.parametrize("replications, seed, code, verdict",
+                         [(3000, 5, 0, "all checks passed"), (2, 1, 1, "FAILURES detected")])
+def test_simulate_check_human_output(capsys, replications, seed, code, verdict):
+    # One line a case, with the case's numbers and status, then the verdict.
+    argv = ["simulate-check", "--replications", str(replications), "--seed", str(seed)]
+    _, doc = run_json(capsys, [*argv, "--json"])
+    assert cli.main(argv) == code
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == verdict and len(lines) == len(doc["results"]) == 18
+    for line, case in zip(lines, doc["results"]):
+        z = "inf" if case["z"] is None else f"{case['z']:.2f}"
+        assert line == (
+            f"{case['chain']:<22} n={case['n']} n0={case['n0']} "
+            f"exact={format(case['exact_mse'], '.6g')} emp={format(case['mse_hat'], '.6g')} "
+            f"se={format(case['std_error'], '.6g')} z={z} {'ok' if case['pass'] else 'FAIL'}"
+        )
 
 
 # SHA-256 of repr([(mse_hat, std_error), ...]) over the 18 cases of

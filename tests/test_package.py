@@ -201,3 +201,45 @@ def test_gates_keep_python_ints_that_json_can_write():
         assert type(value) is int
     json.dumps(vars(spec))
     json.dumps(dataclasses.asdict(config))
+
+
+# Every refusal of an array or object parameter: the call, the error type,
+# and the start of its message.  (`chain._solve_stationary`'s residual check
+# is not here: no row-stochastic, strongly connected P was found to reach it.)
+_THIRDS = np.full((3, 3), 1.0 / 3.0)
+# Each pair is out of balance by 0.8e-10 (under REV_TOL), and the flows into
+# state 0 add up to 1.6e-10 (over STAT_TOL).
+_OFF = 0.8e-10
+_REFUSALS = {
+    "f not 1-D": (lambda: mc.as_state_function([[1.0, 2.0]]), ValueError,
+                  "state function must be a non-empty 1-D vector"),
+    "f not finite": (lambda: mc.as_state_function([1.0, np.nan]), ValueError,
+                     "state function has non-finite entries"),
+    "nu not 1-D": (lambda: mc.as_distribution([[0.5, 0.5]]), ValueError,
+                   "distribution must be a non-empty 1-D vector"),
+    "nu not finite": (lambda: mc.as_distribution([np.inf, 0.0]), ValueError,
+                      "distribution has non-finite entries"),
+    "nu negative": (lambda: mc.as_distribution([1.5, -0.5]), ValueError,
+                    "distribution entry 1 is negative (-0.5)"),
+    "P not finite": (lambda: mc.as_transition_matrix([[np.nan, 1.0], [0.5, 0.5]]),
+                     mc.NotStochastic, "transition matrix has non-finite entries"),
+    "pi not invariant": (
+        lambda: mc.build_chain(_THIRDS, pi=[1 / 3 - 2 * _OFF, 1 / 3 + _OFF, 1 / 3 + _OFF]),
+        mc.NotErgodic, "supplied distribution is not invariant (residual 1.6"),
+    "spec not EstimatorSpec": (lambda: mc.SimulationConfig(replications=2, seed=0, spec=(1, 0)),
+                               ValueError, "spec must be an EstimatorSpec"),
+    "birth-death shapes": (lambda: mc.birth_death_matrix([0.1], [0.1, 0.2]), ValueError,
+                           "up and down must be equal-length non-empty 1-D vectors"),
+    "chi2 lengths": (lambda: mc.chi2_contrast([1.0, 0.0], [0.5, 0.25, 0.25]), ValueError,
+                     "distributions must have equal length"),
+    "density lengths": (lambda: mc.density_ratio_bound([1.0, 0.0], [0.5, 0.25, 0.25]),
+                        ValueError, "distributions must have equal length"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_refusal_names_its_input(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value).startswith(message), str(refused.value)
