@@ -40,10 +40,10 @@ from ._geometric import u_sum, v_sum
 from .chain import (
     _MASS_FLOOR,
     ReversibleChain,
+    _centred,
     _check_length,
     _scaled,
     as_distribution,
-    mean_value,
     spectral_decompose,
     weighted_norm,
 )
@@ -218,7 +218,7 @@ def bound_general_start(
     n, n0 = spec.n, spec.n0
 
     leading = stationary_error(chain, f, n)
-    g = f - mean_value(f, chain.pi)
+    g = _centred(f, chain.pi)
     beta = dec.beta
     penalty = damped_power(beta, n0)
 

@@ -422,6 +422,14 @@ def _scaled(f: np.ndarray) -> tuple[np.ndarray, float]:
     return f / s, s
 
 
+def _centred(f: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``f - <f, 1>_pi`` as ``h - <h, 1>_pi``, ``h = f - f[argmax pi]`` exact where f is within
+    2x of its value there, so a large mean costs the spread no digits (Chan, Golub & LeVeque, 1983).
+    """
+    h = f - f[np.argmax(pi)]
+    return h - np.dot(pi, h)
+
+
 def weighted_norm(f, pi, p) -> float:
     """``||f||_p`` in the pi-weighted sense: ``(sum_x pi[x] |f[x]|^p)^{1/p}``.
 

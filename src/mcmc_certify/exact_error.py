@@ -19,12 +19,12 @@ the j-th averaged state X_{n0+j} sits ``n0+j-1`` transitions after X_1, so
 the correction for j = 1, n0 = 0 uses L_0 (the raw start deviation), not L_1.
 
 Reversibility expands the start deviation in the eigenbasis,
-``nu P^m / pi - 1 = sum_{k>=1} c_k lam_k^m u_k`` with ``c_k = nu . u_k``, so
-both correction sums collapse to sums over eigenpairs of one- and two-rate
+``nu P^m / pi - 1 = sum_{k>=1} c_k lam_k^m u_k`` with ``c_k = (nu - pi) . u_k``,
+so both correction sums collapse to sums over eigenpairs of one- and two-rate
 geometric sums.  The main entry point evaluates them in O(d^3 + d^2 log n)
 time, independent of the window.  A deliberately naive O((n0 + n^2) d^2)
-evaluation that shares nothing with it is kept alongside, so every optimized
-number can be cross-checked by an independent route.
+evaluation that shares no intermediate result with it is kept alongside, so
+every optimized number can be cross-checked by an independent route.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ import numpy as np
 from ._geometric import pair_sums, window_weight
 from .chain import (
     ReversibleChain,
+    _centred,
     _check_length,
     _scaled,
     _with_balanced_pi,
     as_distribution,
-    mean_value,
     spectral_coefficients,
     spectral_decompose,
     weighted_inner,
@@ -130,29 +130,33 @@ def worst_case_mse(n: int, beta1: float) -> float:
     return w_factor(n, beta1) / (float(n) * float(n))
 
 
-def stationary_error(chain: ReversibleChain, f, n: int) -> float:
-    """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} a_k^2 W(n, lam_k)``."""
-    n = _check_count(n, 1, "window length n")
+def _expansion(chain: ReversibleChain, f):
+    """``(a, lam, g, s)``: g is ``_centred`` ``f / s`` (``_scaled``), ``a_k = <g, u_k>_pi``, k >= 1.
+    The coefficients of f itself would lean on ``<u_k, 1>_pi = 0``, true only to rounding.
+    """
     f, s = _scaled(_check_length(chain, f, "function"))
+    g = _centred(f, chain.pi)
     dec = spectral_decompose(chain)
-    a = spectral_coefficients(dec, f, chain.pi)[1:]
-    weights = window_weight(n, dec.eigenvalues[1:])
-    return float(np.dot(a * a, weights)) / (float(n) * float(n)) * s * s
+    return spectral_coefficients(dec, g, chain.pi)[1:], dec.eigenvalues[1:], g, s
+
+
+def stationary_error(chain: ReversibleChain, f, n: int) -> float:
+    """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} <g, u_k>_pi^2 W(n, lam_k)``."""
+    n = _check_count(n, 1, "window length n")
+    a, lam, _, s = _expansion(chain, f)
+    return float(np.dot(a * a, window_weight(n, lam))) / (float(n) * float(n)) * s * s
 
 
 def asymptotic_constant(chain: ReversibleChain, f) -> float:
-    """Limit of ``n * mse``: ``sum_{k>=1} a_k^2 (1 + lam_k) / (1 - lam_k)``, inf past float64."""
-    f, s = _scaled(_check_length(chain, f, "function"))
-    dec = spectral_decompose(chain)
-    a = spectral_coefficients(dec, f, chain.pi)[1:]
-    lam = dec.eigenvalues[1:]
+    """Limit of ``n * mse``: ``sum_{k>=1} <g, u_k>_pi^2 (1+lam_k)/(1-lam_k)``, inf past float64."""
+    a, lam, _, s = _expansion(chain, f)
     return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam))) * s * s
 
 
 def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErrorReport:
     """Exact MSE of the burn-in estimator, with its decomposition.
 
-    With ``g = f - <f, 1>_pi``, ``w_k = (nu . u_k) lam_k^n0``,
+    With ``g = f - <f, 1>_pi``, ``w_k = ((nu - pi) . u_k) lam_k^n0``,
     ``a_l = <g, u_l>_pi``, ``B_k = <u_k, g^2>_pi`` and ``T = U^T diag(pi g) U``
     over ``k, l >= 1``:
 
@@ -162,12 +166,12 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     where ``G_n(x) = E_n(x, 1)`` and ``D_n`` are the geometric sums of
     :func:`~mcmc_certify._geometric.pair_sums`.  Costs O(d^3 + d^2 log n).
 
-    ``nu . u_k`` loses ``eps / sqrt(pi_x)`` on the start's states, so every
-    term uses pi re-derived from P by detailed balance, and a start on states
-    of small pi first takes s <= 4096 exact steps ``q -> q P`` (O(s d^2))
-    until it has spread; the window states passed on the way are summed
-    directly, and the measures ``(q - pi) g`` they leave are carried on into
-    the eigenpair sums.
+    f enters only as g and the start only as ``nu - pi``: a start at pi carries
+    no correction.  ``nu . u_k`` loses ``eps / sqrt(pi_x)`` on the start's
+    states, so every term uses pi re-derived from P by detailed balance, and a
+    start on states of small pi first takes s <= 4096 exact steps ``q -> q P``
+    (O(s d^2)) until it has spread; the window states passed on the way are
+    summed directly, and the measures ``(q - pi) g`` they leave are carried on.
 
     Raises :class:`BudgetOverflow` if the start is still concentrated on
     states of small pi after 4096 steps and the window goes on beyond them,
@@ -178,8 +182,8 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     n, n0 = spec.n, spec.n0
     chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
+    a, lam, g, _ = _expansion(chain, f)  # f is already f / s: its s is 1
     pi = chain.pi
-    g = f - mean_value(f, pi)
     pi_g = pi * g
 
     q, carried, t = nu, np.zeros_like(pi), 0
@@ -200,11 +204,9 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
             f"(sum q/sqrt(pi) is {np.dot(q, spread) / base:.3e} times that of pi)"
         )
 
-    dec = spectral_decompose(chain)
-    U = dec.eigenfunctions[:, 1:]
-    lam = dec.eigenvalues[1:]
-    w = (q @ U) * np.power(lam, float(max(n0 - t, 0)))
-    a, B = pi_g @ U, (pi_g * g) @ U
+    U = spectral_decompose(chain).eigenfunctions[:, 1:]
+    w = ((q - pi) @ U) * np.power(lam, float(max(n0 - t, 0)))
+    B = (pi_g * g) @ U
     rates = np.append(lam, 1.0)[None, :]
     geometric = np.empty_like(lam)
     for k in range(0, lam.size, _ROWS):
@@ -238,18 +240,18 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
 
     The stationary part is summed from covariances ``<g, P^m g>_pi`` and the
     correction terms take every deviation ``nu P^m / pi - 1`` from one walk
-    ``q -> q P`` of the start, so the route shares no intermediate results
-    with :func:`exact_error`.  Costs O((n0 + n^2) d^2); restricted to
-    n <= 50, and raises :class:`BudgetOverflow` before its first step if the
-    walk would take more than 2**27 steps.
+    ``q -> q P`` of the start.  With :func:`exact_error` it shares only the rules
+    for f (``_centred`` g of ``_scaled`` f, times ``s * s``), no intermediate
+    result.  Costs O((n0 + n^2) d^2); restricted to n <= 50, and raises
+    :class:`BudgetOverflow` before its first step if the walk takes over 2**27.
     """
     nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f = _check_length(chain, f, "function")
+    f, s = _scaled(_check_length(chain, f, "function"))
     n, n0 = _check_int(spec.n, 1, "naive cross-check is restricted to n <= 50", 50), spec.n0
     if n0 + n - 1 > _WALK_CAP:
         raise BudgetOverflow(f"the walk takes {n0 + n - 1} steps, cap is {_WALK_CAP}")
 
-    g = f - mean_value(f, chain.pi)
+    g = _centred(f, chain.pi)
     g2 = g * g
 
     stationary = n * weighted_inner(g, g, chain.pi)
@@ -258,7 +260,7 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
         v = chain.P @ v
         stationary += 2.0 * (n - m) * weighted_inner(g, v, chain.pi)
 
-    q = as_distribution(nu)
+    q = nu
     for _ in range(n0):
         q = q @ chain.P
     diagonal = 0.0
@@ -274,4 +276,4 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
             cross += weighted_inner(dev, g * w, chain.pi)
 
     n2 = float(n) * float(n)
-    return (stationary + diagonal + 2.0 * cross) / n2
+    return (stationary + diagonal + 2.0 * cross) / n2 * s * s

@@ -346,6 +346,32 @@ def test_exact_error_on_a_steep_metropolis_ring():
     assert_matches_forward(chain, start, np.cos(x), SPREAD_WINDOWS)
 
 
+@pytest.mark.parametrize("n, n0", [(2, 0), (10, 0), (1000, 5)])
+def test_a_start_at_pi_carries_no_correction(n, n0):
+    # pi spans 160 decades.  The start enters only as nu - pi, which is 0
+    # here; nu itself in the eigenbasis left 2e-8 to 2e-5 of the MSE.
+    logs = np.linspace(0.0, 160.0, 4)
+    np.random.default_rng(5).shuffle(logs)  # (160, 53.33, 106.67, 0)
+    chain = metropolis_chain(10.0**-logs / np.sum(10.0**-logs), np.full((4, 4), 0.25))
+    report = mc.exact_error(chain, chain.pi, np.arange(4.0), mc.EstimatorSpec(n=n, n0=n0))
+    assert report.correction == 0.0
+    assert report.mse == report.stationary_mse
+
+
+def test_variance_on_a_graded_chain():
+    # pi spans 110 decades and f is nearly constant where pi lives.  Expanded
+    # as f itself, not g, the variance came out 20 decades low.
+    pi = 10.0 ** -np.array([90.0, 0.0, 110.0])
+    chain = metropolis_chain(pi / pi.sum(), np.full((3, 3), 1.0 / 3.0))
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(x) for x in chain.pi]
+        mean = sum(k * x for k, x in enumerate(p))
+        variance = float(sum(x * (k - mean) ** 2 for k, x in enumerate(p)))
+    report = mc.exact_error(chain, chain.pi, np.arange(3.0), mc.EstimatorSpec(n=1, n0=0))
+    for value in (mc.stationary_error(chain, np.arange(3.0), 1), report.mse):
+        assert math.isclose(value, variance, rel_tol=1e-12), (value, variance)
+
+
 def two_clusters() -> mc.ReversibleChain:
     """Two clusters of four states joined by one edge of weight 1e-7
     (1 - beta = 6e-8)."""

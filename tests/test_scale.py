@@ -3,7 +3,8 @@
 Each route that squares f works on f / s, s a power of two, and multiplies
 its result by s twice, so one computation covers the whole float64 range:
 no overflow to inf, no underflow to 0 and no floating-point warning on the
-way to a result that float64 holds.
+way to a result that float64 holds.  A shift of f leaves every exact value
+and sharp bound as it is, bit for bit, wherever ``f - f[argmax pi]`` is exact.
 """
 
 import functools
@@ -64,6 +65,60 @@ def test_every_bound_is_at_least_the_exact_mse(s):
     for name, value in results.items():
         if name.endswith(".total"):
             assert value >= results["exact.mse"], (name, value)
+
+
+SHIFTS = [1e6, 1e9, 1e12, 2.0**52]
+_WINDOWS = [(1, 0), (5, 0), (5, 3), (40, 2), (1000, 100)]
+_EXACT_FIELDS = ("mse", "stationary_mse", "asymptotic_constant", *_COMPONENTS)
+
+
+@functools.cache
+def _suite() -> dict:
+    return mc.validation_suite()
+
+
+@functools.cache
+def _shifted(name: str, c: float) -> dict:
+    """Every value that depends on f only through g, for f = c + (0, ..., d-1)."""
+    chain = _suite()[name]
+    f = c + np.arange(float(chain.size))
+    out = {"asymptotic_constant": mc.asymptotic_constant(chain, f)}
+    for n, n0 in _WINDOWS:
+        spec = mc.EstimatorSpec(n=n, n0=n0)
+        out[n, "stationary_error"] = mc.stationary_error(chain, f, n)
+        for start, nu in (("pi", chain.pi), ("state 0", np.eye(chain.size)[0])):
+            exact = mc.exact_error(chain, nu, f, spec)
+            for field in _EXACT_FIELDS:
+                out[start, n, n0, "exact", field] = getattr(exact, field)
+            for kind in mc.NORM_KINDS:
+                report = mc.bound_general_start(chain, nu, f, spec, kind)
+                for term in ("leading_term", "correction_term", "total"):
+                    out[start, n, n0, kind, term] = getattr(report, term)
+    return out
+
+
+@pytest.mark.parametrize("c", SHIFTS)
+@pytest.mark.parametrize("name", list(_suite()))
+def test_every_exact_value_and_sharp_bound_is_shift_invariant(name, c):
+    # f enters as g = f - <f, 1>_pi, and every f - f[argmax pi] here is exact:
+    # f + c gives the same bits as f.
+    base, shifted = _shifted(name, 0.0), _shifted(name, c)
+    assert shifted == base
+    for key, value in shifted.items():
+        if key[-1] == "total":
+            assert value >= base[key[:3] + ("exact", "mse")], key
+
+
+@pytest.mark.parametrize("f", [1e153 * np.arange(6.0), 1e9 + np.arange(6.0)])
+def test_the_naive_oracle_follows_the_rules_for_f(f):
+    # A huge f is scaled and a large mean is shifted off before centring, as
+    # in exact_error, so the two routes still agree to rounding.
+    chain, spec = _suite()["birth_death_six"], mc.EstimatorSpec(n=20, n0=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        naive = mc.exact_error_naive(chain, _NU, f, spec)
+    exact = mc.exact_error(chain, _NU, f, spec).mse
+    assert abs(naive - exact) <= (1e-10 if f[1] > 1e100 else 1e-12) * exact, (naive, exact)
 
 
 def _slow_to_leave_its_start():
