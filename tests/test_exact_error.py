@@ -349,7 +349,8 @@ def test_exact_error_on_a_steep_metropolis_ring():
 @pytest.mark.parametrize("n, n0", [(2, 0), (10, 0), (1000, 5)])
 def test_a_start_at_pi_carries_no_correction(n, n0):
     # pi spans 160 decades.  The start enters only as nu - pi, which is 0
-    # here; nu itself in the eigenbasis left 2e-8 to 2e-5 of the MSE.
+    # here; nu itself in the eigenbasis left a correction of up to 9e-43 of
+    # the MSE, rounding alone.
     logs = np.linspace(0.0, 160.0, 4)
     np.random.default_rng(5).shuffle(logs)  # (160, 53.33, 106.67, 0)
     chain = metropolis_chain(10.0**-logs / np.sum(10.0**-logs), np.full((4, 4), 0.25))
