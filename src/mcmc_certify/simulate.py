@@ -27,7 +27,10 @@ guide of 2**bits buckets a row gives the position from which
 ceil(log2(w+1)) branchless compares end the search, w being the most
 breakpoints a bucket holds.  The table takes O(nnz(P) + d 2**bits) words.
 A step is a fixed handful of numpy calls over the batch, which release the
-GIL as Philox's fills do, so the workers run side by side.
+GIL as Philox's fills do, so the workers run side by side.  Its gathers are
+bound ``ndarray.take`` calls, not ``np.take``: that wrapper's Python-level
+dispatch adds about 0.55 microseconds a call, run under the GIL, and the two
+workers wait in turn for it.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ _TABLE_BYTES = 1 << 21
 # Fewest replications per worker, in its chunk and in its batch.  Numpy calls
 # on fewer rows hand the GIL back and forth more than they run apart: on two
 # cores, with the guide step on birth-death chains of d = 5, 10 and 50 and
-# windows of 100, two workers were 18-38% slower than one at 4000-6000 rows
-# each, about even at 8192 (winning 0 to 9 of 10 pairs over two runs), and
-# 10-15% faster in 29 of 30 pairs at 16384.
+# windows of 100, two workers were 15-17% slower than one at 4096 rows each,
+# 1-3% slower at 6144 (winning 0 to 2 of 10 pairs), and 17-19% faster in all
+# 30 pairs at 8192 and at 16384.
 _MIN_ROWS = 8192
 # Most replications (one double of sums each): 1 GiB of doubles.  The longest
 # replication is exact_error's _WALK_CAP (a column buffer holds one).
@@ -207,20 +210,20 @@ def _advance(table: _Guide, j, cur, pos, scratch, hit, probes):
     the table's ``probes`` end it.
     """
     if table.bits:
-        np.right_shift(j, _UNIFORM_BITS - table.bits, out=scratch)
-        scratch += cur
-        np.take(table.guide, scratch, out=pos, mode="clip")
+        np.right_shift(j, _UNIFORM_BITS - table.bits, scratch)
+        np.add(scratch, cur, scratch)
+        table.guide.take(scratch, None, pos, "clip")
     else:
         cur, pos = pos, cur
     for view, r in probes:
-        np.take(view, pos, out=scratch, mode="clip")
-        np.less_equal(scratch, j, out=hit)
+        view.take(pos, None, scratch, "clip")
+        np.less_equal(scratch, j, hit)
         if r:
-            np.left_shift(hit, r, out=scratch)
-            pos += scratch
+            np.left_shift(hit, r, scratch)
+            np.add(pos, scratch, pos)
         else:
-            pos += hit
-    np.take(table.keys, pos, out=cur, mode="clip")
+            np.add(pos, hit, pos)
+    table.keys.take(pos, None, cur, "clip")
     return cur, pos
 
 
@@ -280,8 +283,8 @@ def _chunk_sums(generator, columns, walk, stage, table, n0, sums, failed) -> Non
             probes = table.probes if t else table.start_probes
             cur, pos = _advance(table, j[t], cur, pos, scratch, hit, probes)
             if t >= n0:
-                np.take(table.values, cur, out=value, mode="clip")
-                out += value
+                table.values.take(cur, None, value, "clip")
+                np.add(out, value, out)
 
 
 def _guarded(task, failed) -> None:

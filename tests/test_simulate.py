@@ -211,6 +211,34 @@ def test_more_workers_than_cores_under_rapid_switching(bd3, monkeypatch):
     assert (rep.mse_hat, rep.std_error) == _replay(bd3, nu, f, spec, 400, 31)
 
 
+class _NoTakeNumpy:
+    """Stands in for ``simulate``'s ``np`` and refuses ``np.take``."""
+
+    def take(self, *args, **kwargs):
+        raise AssertionError("a gather went through np.take's Python wrapper")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_step_gathers_are_bound_takes(bd3, two_state, monkeypatch):
+    """Every gather of a step, on two workers, is a bound ``ndarray.take``.
+
+    ``np.take``'s Python-level wrapper costs about 0.55 microseconds a call
+    more, under the GIL, for which the workers wait in turn.  The chains
+    cover a guide of one bucket a row (d = 3) and none (d = 2).
+    """
+    monkeypatch.setattr(simulate, "np", _NoTakeNumpy())
+    _force_workers(monkeypatch, 2)
+    spec = mc.EstimatorSpec(n=6, n0=3)
+    config = mc.SimulationConfig(replications=300, seed=5, spec=spec)
+    for chain in (bd3, two_state):
+        nu = np.full(chain.size, 1.0 / chain.size)
+        f = np.arange(chain.size, dtype=np.float64)
+        rep = mc.estimate_error(chain, nu, f, config)
+        assert (rep.mse_hat, rep.std_error) == _replay(chain, nu, f, spec, 300, 5), chain.size
+
+
 @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5, 4099, 2**33 + 3])
 def test_positioned_generator_continues_the_stream(offset):
     # Up to 4099 the stream is drawn straight.  Past it, a Philox counter
