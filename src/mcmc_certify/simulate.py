@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ReversibleChain, _check_length, _scaled, as_distribution, mean_value
+from .chain import ReversibleChain, _centred, _check_length, _scaled, as_distribution
 from .errors import BudgetOverflow, _check_int, _shown
 from .exact_error import _WALK_CAP, EstimatorSpec
 
@@ -131,12 +131,12 @@ def _rounds(thresholds: np.ndarray, rows: np.ndarray, bits: int) -> int:
     return int(np.diff(firsts, prepend=0, append=buckets.size).max()).bit_length()
 
 
-def _guide(P: np.ndarray, nu: np.ndarray, f: np.ndarray) -> _Guide:
+def _guide(P: np.ndarray, nu: np.ndarray, g: np.ndarray) -> _Guide:
     """The guide table of the rows of ``P`` and, as row ``len(P)``, of ``nu``.
 
     Row x's entries are its positive entries in order, each with its
     saturated CDF value's threshold and the key of the state it selects;
-    ``values`` holds f at each key.  j selects the entry past every
+    ``values`` holds g at each key.  j selects the entry past every
     threshold <= j, a prefix of the row: running sums never decrease, an
     excursion above 1 stays above j, and the last positive entry's value is
     1.  ``guide[key + (j >> (53 - bits))]`` is where bucket j's search
@@ -195,7 +195,7 @@ def _guide(P: np.ndarray, nu: np.ndarray, f: np.ndarray) -> _Guide:
     keys = np.zeros(padded.size, dtype=np.int64)
     keys[at] = cols
     values = np.zeros(guide.size if bits else padded.size)
-    values[key[:-1]] = f
+    values[key[:-1]] = g
     # Round r advances a search at p by 2**r where the threshold at
     # p + 2**r - 1 is <= j, so the rounds end it among 2**rounds positions.
     probes = [[(padded[(1 << r) - 1 :], r) for r in reversed(range(n))]
@@ -265,7 +265,7 @@ def _chunk_sums(generator, columns, walk, stage, table, n0, sums, failed) -> Non
     ``columns`` holds a batch of whole replications as integer uniforms,
     one time step per contiguous row, and ``walk`` four rows of int64:
     each walk's key, starting at the start row's, its search position,
-    scratch that also takes each state's f, and the compares' bytes.
+    scratch that also takes each state's g, and the compares' bytes.
     Stops early once another chunk has put an exception in ``failed``.
     """
     length, batch = columns.shape
@@ -295,7 +295,7 @@ def _guarded(task, failed) -> None:
 
 
 def _window_sums(seed: int, table: _Guide, n0: int, length: int, R: int) -> np.ndarray:
-    """Each replication's sum of f over its window, on k worker threads.
+    """Each replication's sum of g over its window, on k worker threads.
 
     k is at most the usable cores and small enough that every worker has
     ``_MIN_ROWS`` replications and room for as many in its share of the
@@ -353,11 +353,11 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     buffers (or one replication, if longer), 128 KiB of drawn uniforms per
     worker, a few doubles per replication, two words per positive entry of P and
     nu (three with one bucket a row, and per padding entry), and at most 4 MiB
-    of guide with f at each row's key.  ``std_error`` is the sample standard
+    of guide with g at each row's key.  ``std_error`` is the sample standard
     deviation of the squared errors divided by sqrt(R); both are computed on
-    :func:`~mcmc_certify.chain._scaled` f.  Raises :class:`BudgetOverflow`
-    before anything is allocated if one replication takes more than 2**27
-    uniforms or R exceeds 2**27, and if the MSE exceeds float64.
+    g, the ``_centred`` :func:`~mcmc_certify.chain._scaled` f.  Raises
+    :class:`BudgetOverflow` before anything is allocated if one replication
+    takes more than 2**27 uniforms or R exceeds 2**27, or if the MSE exceeds float64.
     """
     spec = config.spec
     n, n0, length, R = spec.n, spec.n0, spec.total, config.replications
@@ -367,10 +367,10 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
         raise BudgetOverflow(f"replications must be at most {_REPLICATION_CAP}, got {_shown(R)}")
     nu = _check_length(chain, nu, "start distribution", as_distribution)
     f, s = _scaled(_check_length(chain, f, "function"))
+    g = _centred(f, chain.pi)
 
-    deviations = _window_sums(config.seed, _guide(chain.P, nu, f), n0, length, R)
-    deviations /= n  # in place: window averages, then their deviations
-    deviations -= mean_value(f, chain.pi)
+    deviations = _window_sums(config.seed, _guide(chain.P, nu, g), n0, length, R)
+    deviations /= n  # in place: a window's mean of g is its deviation
     squared = deviations * deviations
     mse_hat = float(squared.mean()) * s * s
     if not np.isfinite(mse_hat):

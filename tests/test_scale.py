@@ -4,7 +4,8 @@ Each route that squares f works on f / s, s a power of two, and multiplies
 its result by s twice, so one computation covers the whole float64 range:
 no overflow to inf, no underflow to 0 and no floating-point warning on the
 way to a result that float64 holds.  A shift of f leaves every exact value
-and sharp bound as it is, bit for bit, wherever ``f - f[argmax pi]`` is exact.
+and sharp bound as it is, bit for bit, wherever ``f - f[argmax pi]`` is exact,
+and so does the seeded simulation, which sums the same centred g.
 """
 
 import functools
@@ -69,6 +70,7 @@ def test_every_bound_is_at_least_the_exact_mse(s):
 
 SHIFTS = [1e6, 1e9, 1e12, 2.0**52]
 _WINDOWS = [(1, 0), (5, 0), (5, 3), (40, 2), (1000, 100)]
+_SIMULATED_WINDOWS = [(1, 0), (5, 3), (40, 2)]
 _EXACT_FIELDS = ("mse", "stationary_mse", "asymptotic_constant", *_COMPONENTS)
 
 
@@ -85,6 +87,7 @@ def _shifted(name: str, c: float) -> dict:
     out = {"asymptotic_constant": mc.asymptotic_constant(chain, f)}
     for n, n0 in _WINDOWS:
         spec = mc.EstimatorSpec(n=n, n0=n0)
+        config = mc.SimulationConfig(replications=3000, seed=3, spec=spec)
         out[n, "stationary_error"] = mc.stationary_error(chain, f, n)
         for start, nu in (("pi", chain.pi), ("state 0", np.eye(chain.size)[0])):
             exact = mc.exact_error(chain, nu, f, spec)
@@ -94,6 +97,9 @@ def _shifted(name: str, c: float) -> dict:
                 report = mc.bound_general_start(chain, nu, f, spec, kind)
                 for term in ("leading_term", "correction_term", "total"):
                     out[start, n, n0, kind, term] = getattr(report, term)
+            if (n, n0) in _SIMULATED_WINDOWS:
+                simulated = mc.estimate_error(chain, nu, f, config)
+                out[start, n, n0, "simulated"] = (simulated.mse_hat, simulated.std_error)
     return out
 
 
@@ -101,8 +107,11 @@ def _shifted(name: str, c: float) -> dict:
 @pytest.mark.parametrize("name", list(_suite()))
 def test_every_exact_value_and_sharp_bound_is_shift_invariant(name, c):
     # f enters as g = f - <f, 1>_pi, and every f - f[argmax pi] here is exact:
-    # f + c gives the same bits as f.
-    base, shifted = _shifted(name, 0.0), _shifted(name, c)
+    # f + c gives the same bits as f.  The simulation sums g over the same
+    # walks, so its estimate keeps its bits too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, shifted = _shifted(name, 0.0), _shifted(name, c)
     assert shifted == base
     for key, value in shifted.items():
         if key[-1] == "total":

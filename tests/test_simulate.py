@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import mcmc_certify as mc
 from mcmc_certify import simulate
+from mcmc_certify.chain import _centred
 from mcmc_certify.errors import BudgetOverflow
 from mcmc_certify.simulate import _advance, _guide, _thresholds
 
@@ -89,23 +90,24 @@ def test_simulation_agrees_with_exact_mse(two_state, n, n0, R, seed):
 
 
 def _replay(chain, nu, f, spec, R, seed):
-    """Pure-Python lock-step replay: one searchsorted per replication and step."""
+    """Pure-Python lock-step replay: one searchsorted per replication and step,
+    summing the centred g, so a window's deviation is its sum over n."""
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random((R, spec.total))
     nu_cdf = np.cumsum(nu)
     nu_cdf[-1] = 1.0
     row_cdf = np.cumsum(chain.P, axis=1)
     row_cdf[:, -1] = 1.0
-    mean = mc.mean_value(f, chain.pi)
+    g = _centred(np.asarray(f, dtype=np.float64), chain.pi)
 
     squared = np.empty(R)
     for r in range(R):
         x = int(np.searchsorted(nu_cdf, uniforms[r, 0], side="right"))
-        wsum = f[x] if spec.n0 == 0 else 0.0
+        wsum = g[x] if spec.n0 == 0 else 0.0
         for t in range(1, spec.total):
             x = int(np.searchsorted(row_cdf[x], uniforms[r, t], side="right"))
             if t >= spec.n0:
-                wsum += f[x]
-        squared[r] = (wsum / spec.n - mean) ** 2
+                wsum += g[x]
+        squared[r] = (wsum / spec.n) ** 2
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(R))
 
 
