@@ -12,8 +12,8 @@ chunk's generator is positioned at the chunk's first row of the block
 without drawing what precedes it (Salmon et al., SC'11).  A worker draws its
 rows row-major in pieces of at most 128 KiB and transposes each piece into
 a column buffer of whole replications, one time step per contiguous row;
-the column buffers share a budget of 2**21 uniforms (16 MiB), at most 2**20
-per worker.  The buffers hold each uniform u = j 2**-53 as its integer j,
+the column buffers and their walk words take 16 MiB shared by the k
+workers.  The buffers hold each uniform u = j 2**-53 as its integer j,
 and the CDF rows are scaled by 2**53 to match, which changes no comparison.
 Memory is therefore O(budget + R), and the result is a pure function of
 (chain, nu, f, config), independent of the worker count, batch size,
@@ -50,10 +50,9 @@ from .exact_error import _WALK_CAP, EstimatorSpec
 
 __all__ = ["SimulationConfig", "EmpiricalErrorReport", "estimate_error"]
 
-# Column-buffer uniforms of all workers together (16 MiB), and of one worker
-# (8 MiB), rounded down to whole replications.
+# Column-buffer and walk words of all workers together (16 MiB), rounded
+# down to whole replications.
 _BUFFER_ELEMS = 1 << 21
-_BATCH_ELEMS = 1 << 20
 # Uniforms drawn per piece before the transpose (128 KiB).
 _STAGE_ELEMS = 1 << 14
 # Philox's uniform is (raw >> 11) 2**-53: the walk runs on the integer
@@ -244,13 +243,13 @@ def _positioned(seed: int, offset: int) -> np.random.Generator:
     return generator
 
 
-def _draw(generator, columns, stage: int) -> None:
-    # Integer uniforms j = raw >> 11, drawn row-major up to ``stage`` at a
-    # time (whole replications, or one in segments) and each piece
+def _draw(generator, columns) -> None:
+    # Integer uniforms j = raw >> 11, drawn row-major up to ``_STAGE_ELEMS``
+    # at a time (whole replications, or one in segments) and each piece
     # transposed into place, so the draws follow the chunk's rows.
     length, count = columns.shape
-    rows = max(1, stage // length)
-    segment = min(length, stage)  # < length only when rows == 1
+    rows = max(1, _STAGE_ELEMS // length)
+    segment = min(length, _STAGE_ELEMS)  # < length only when rows == 1
     for r in range(0, count, rows):
         m = min(rows, count - r)
         for t in range(0, length, segment):
@@ -259,27 +258,27 @@ def _draw(generator, columns, stage: int) -> None:
             np.right_shift(piece, 64 - _UNIFORM_BITS, out=columns[t : t + len(piece), r : r + m])
 
 
-def _chunk_sums(generator, columns, walk, stage, table, n0, sums, failed) -> None:
+def _chunk_sums(generator, buffer, table, n0, sums, failed) -> None:
     """Window sums of one chunk of replications, written into ``sums``.
 
-    ``columns`` holds a batch of whole replications as integer uniforms,
-    one time step per contiguous row, and ``walk`` four rows of int64:
-    each walk's key, starting at the start row's, its search position,
-    scratch that also takes each state's g, and the compares' bytes.
-    Stops early once another chunk has put an exception in ``failed``.
+    ``buffer`` holds a batch of whole replications as integer uniforms,
+    one time step per contiguous row, then four walk rows of int64: each
+    walk's key, starting at the start row's, its search position, scratch
+    that also takes each state's g, and the compares' bytes.  Stops early
+    once another chunk has put an exception in ``failed``.
     """
-    length, batch = columns.shape
+    batch = buffer.shape[1]
     for lo in range(0, sums.size, batch):
         if failed:
             return
         out = sums[lo : lo + batch]
         count = out.size
-        j = columns[:, :count]
-        _draw(generator, j, stage)
-        cur, pos, scratch, hit = walk[:, :count]
+        j = buffer[:-4, :count]
+        _draw(generator, j)
+        cur, pos, scratch, hit = buffer[-4:, :count]
         value, hit = scratch.view(np.float64), hit.view(bool)[:count]
         cur.fill(table.row_keys[-1])
-        for t in range(length):
+        for t in range(len(j)):
             probes = table.probes if t else table.start_probes
             cur, pos = _advance(table, j[t], cur, pos, scratch, hit, probes)
             if t >= n0:
@@ -302,23 +301,22 @@ def _window_sums(seed: int, table: _Guide, n0: int, length: int, R: int) -> np.n
     ``_BUFFER_ELEMS`` budget, which holds each replication's uniforms and
     its walk words.  Chunk i, rows ``[i R // k, (i+1) R // k)``, gets its
     own generator positioned at its first row, so the split changes no
-    draw.  The caller allocates every buffer but the drawn pieces, runs
-    chunk 0 itself, and joins every thread before it returns or re-raises
-    the first exception a chunk raised; with k = 1 no thread starts.
+    draw.  The caller allocates each worker's one buffer of uniform and
+    walk rows, runs chunk 0 itself, and joins every thread before it
+    returns or re-raises the first exception a chunk raised; with k = 1 no
+    thread starts.
     """
     words = length + 4  # a replication's uniforms and walk
     k = max(1, min(_usable_cores(), R // _MIN_ROWS, _BUFFER_ELEMS // (_MIN_ROWS * words)))
-    batch = min(-(-R // k), max(1, min(_BATCH_ELEMS, _BUFFER_ELEMS // k) // words))
-    stage = min(_STAGE_ELEMS, batch * length)
+    batch = min(-(-R // k), max(1, _BUFFER_ELEMS // (k * words)))
     window_sums = np.zeros(R)
     failed: list[BaseException] = []
     tasks = []
     for i in range(k):
         lo, hi = i * R // k, (i + 1) * R // k
         tasks.append(functools.partial(
-            _chunk_sums, _positioned(seed, lo * length),
-            np.empty((length, batch), dtype=np.int64), np.empty((4, batch), dtype=np.int64),
-            stage, table, n0, window_sums[lo:hi], failed,
+            _chunk_sums, _positioned(seed, lo * length), np.empty((words, batch), dtype=np.int64),
+            table, n0, window_sums[lo:hi], failed,
         ))
     threads = [threading.Thread(target=_guarded, args=(task, failed)) for task in tasks[1:]]
     try:
@@ -350,10 +348,10 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     run on one core.  The result is bit-identical for every worker count and
     batch size.  Each step, the start draw included, is a guide-table lookup and
     a few branchless compares.  Memory is at most 16 MiB of column and walk
-    buffers (or one replication, if longer), 128 KiB of drawn uniforms per
-    worker, a few doubles per replication, two words per positive entry of P and
-    nu (three with one bucket a row, and per padding entry), and at most 4 MiB
-    of guide with g at each row's key.  ``std_error`` is the sample standard
+    buffers shared by the k workers (or one replication, if longer), 128 KiB
+    of drawn uniforms per worker, a few doubles per replication, two words per
+    positive entry of P and nu (three with one bucket a row, and per padding
+    entry), and at most 4 MiB of guide with g at each row's key.  ``std_error`` is the sample standard
     deviation of the squared errors divided by sqrt(R); both are computed on
     g, the ``_centred`` :func:`~mcmc_certify.chain._scaled` f.  Raises
     :class:`BudgetOverflow` before anything is allocated if one replication

@@ -115,14 +115,15 @@ def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
     """Pure-Python lock-step replay reproduces the batch result bit for bit.
 
     On 1, 2, 3, 5 and 8 workers (chunks of R = 300 that are no multiple of
-    the batch), batches of 43 rows and of one row (shorter than a
-    replication) must equal the single uniform block, on the suite (two
-    chains of d = 2 among it) and on a birth-death chain of d = 80.
+    the batch), the default batch and budgets of 43 rows and of one row a
+    worker must equal the single uniform block, on the suite (two chains of
+    d = 2 among it) and on a birth-death chain of d = 80.
     """
     R, seed = 300, 123
-    default = simulate._BATCH_ELEMS
+    default = simulate._BUFFER_ELEMS
     for spec in (mc.EstimatorSpec(n=4, n0=3), mc.EstimatorSpec(n=5, n0=0)):
         config = mc.SimulationConfig(replications=R, seed=seed, spec=spec)
+        words = spec.total + 4
         for chain in (bd3, *suite.values(), _chain("birth_death", 80)):
             d = chain.size
             nu = np.full(d, 1.0 / d)
@@ -130,10 +131,10 @@ def test_replay_matches_vectorized_batch(bd3, suite, monkeypatch):
             expected = _replay(chain, nu, f, spec, R, seed)
             for k in (1, 2, 3, 5, 8):
                 _force_workers(monkeypatch, k)
-                for batch_elems in (default, 43 * spec.total, spec.total - 2):
-                    monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
+                for buffer in (default, 43 * k * words, k * words):
+                    monkeypatch.setattr(simulate, "_BUFFER_ELEMS", buffer)
                     rep = mc.estimate_error(chain, nu, f, config)
-                    assert (rep.mse_hat, rep.std_error) == expected, (chain, spec, k, batch_elems)
+                    assert (rep.mse_hat, rep.std_error) == expected, (chain, spec, k, buffer)
 
 
 def _chain(kind, d):
@@ -170,16 +171,17 @@ def test_replay_matches_on_both_sides_of_the_table_rule(kind, d, monkeypatch):
     table = _guide(chain.P, nu, f)
     assert (table.bits, len(table.probes)) == _TABLE_RULE[kind, d]
     R, seed = 300, 123
-    default = simulate._BATCH_ELEMS
+    default = simulate._BUFFER_ELEMS
     for spec in (mc.EstimatorSpec(n=4, n0=3), mc.EstimatorSpec(n=5, n0=0)):
         config = mc.SimulationConfig(replications=R, seed=seed, spec=spec)
         expected = _replay(chain, nu, f, spec, R, seed)
+        words = spec.total + 4
         for k in (1, 2, 3, 8):
             _force_workers(monkeypatch, k)
-            for batch_elems in (default, 43 * spec.total, spec.total - 2):
-                monkeypatch.setattr(simulate, "_BATCH_ELEMS", batch_elems)
+            for buffer in (default, 43 * k * words, k * words):
+                monkeypatch.setattr(simulate, "_BUFFER_ELEMS", buffer)
                 rep = mc.estimate_error(chain, nu, f, config)
-                assert (rep.mse_hat, rep.std_error) == expected, (d, spec, k, batch_elems)
+                assert (rep.mse_hat, rep.std_error) == expected, (d, spec, k, buffer)
 
 
 def test_staged_pieces_shorter_than_a_replication(bd3, monkeypatch):
@@ -203,7 +205,7 @@ def test_more_workers_than_cores_under_rapid_switching(bd3, monkeypatch):
     config = mc.SimulationConfig(replications=400, seed=31, spec=spec)
     nu, f = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 4.0])
     _force_workers(monkeypatch, 8)
-    monkeypatch.setattr(simulate, "_BATCH_ELEMS", spec.total)
+    monkeypatch.setattr(simulate, "_BUFFER_ELEMS", 8 * (spec.total + 4))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -211,6 +213,31 @@ def test_more_workers_than_cores_under_rapid_switching(bd3, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (rep.mse_hat, rep.std_error) == _replay(bd3, nu, f, spec, 400, 31)
+
+
+def test_one_worker_draws_its_whole_chunk_in_one_batch(suite, monkeypatch):
+    """A lone worker has the whole ``_BUFFER_ELEMS`` budget to itself.
+
+    A simulate-check query of the benchmark's seed 7919: 14312 replications
+    of n+n0 = 91 take 14312 * 95 words, within 2**21, so one batch, one
+    draw, holds them all (half the budget would hold 11037 rows).
+    """
+    chain = suite["two_state_antithetic"]
+    nu, f = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    spec = mc.EstimatorSpec(n=82, n0=9)
+    config = mc.SimulationConfig(replications=14312, seed=858600647, spec=spec)
+    _force_workers(monkeypatch, 1)
+    batches = []
+    draw = simulate._draw
+
+    def spy(*args):
+        batches.append(args[1].shape)  # the uniform rows of the batch
+        draw(*args)
+
+    monkeypatch.setattr(simulate, "_draw", spy)
+    rep = mc.estimate_error(chain, nu, f, config)
+    assert batches == [(91, 14312)]
+    assert (rep.mse_hat, rep.std_error) == _replay(chain, nu, f, spec, 14312, 858600647)
 
 
 class _NoTakeNumpy:
