@@ -27,8 +27,7 @@ errors rather than warnings.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,8 +54,6 @@ __all__ = [
     "build_chain",
     "spectral_decompose",
     "weighted_norm",
-    "weighted_inner",
-    "mean_value",
     "spectral_coefficients",
 ]
 
@@ -160,8 +157,18 @@ class ReversibleChain:
         Strictly positive stationary distribution, read-only.
     reversibility_residual : float
         ``max_{x,y} |pi[x] P[x,y] - pi[y] P[y,x]|`` actually observed.
+
+    What is derived from the chain is kept on it, made on first use: its
+    :func:`spectral_decompose` result and its detailed-balance twin
+    (``_with_balanced_pi``).  ``copy.copy`` carries both.
     """
 
+    # Set by spectral_decompose.  Declared first, so a chain frees its
+    # eigenvectors before P: freed after P, they left glibc's heap about
+    # 2 MB (1.5-2%) larger at the peak of perfbench's large-state workload.
+    _decomposition: SpectralDecomposition | None = field(
+        default_factory=lambda: None, init=False, repr=False
+    )
     P: np.ndarray
     pi: np.ndarray
     reversibility_residual: float
@@ -234,24 +241,28 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
     Each state takes ``pi_y = pi_x P_xy / P_yx`` from its parent on the
     two-way edges, so every entry is accurate to about depth-many ulp of its
     own size; a least-squares solve is accurate to eps absolute.  The chain
-    comes back as it is, cached decomposition included, if its pi is already
-    within 1e-12 relative or the two-way edges do not connect all states.
+    comes back as it is if its pi is already within 1e-12 relative or the
+    two-way edges do not connect all states.  The first call stores the twin
+    (None for the chain itself, so no reference cycle forms), and later calls
+    return that same object, decomposition included.
     """
-    P = chain.P
+    if "_twin" in vars(chain):
+        return vars(chain)["_twin"] or chain
+    P, twin = chain.P, None
     parent = _search_tree(np.minimum(P, P.T))
-    if np.any(parent < 0):
-        return chain
-    child = np.arange(1, chain.size)
-    ratio = np.concatenate([[1.0], P[parent[child], child] / P[child, parent[child]]])
-    up = parent  # pointer jumping: ratio[y] = pi_y / pi_up[y] until up[y] = 0
-    while np.any(up):
-        ratio, up = ratio * ratio[up], up[up]
-    pi = ratio / ratio.max()
-    pi /= pi.sum()
-    if np.max(np.abs(pi / chain.pi - 1.0)) <= 1e-12:
-        return chain
-    flux = pi[:, None] * P
-    return ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T).max()))
+    if np.all(parent >= 0):
+        child = np.arange(1, chain.size)
+        ratio = np.concatenate([[1.0], P[parent[child], child] / P[child, parent[child]]])
+        up = parent  # pointer jumping: ratio[y] = pi_y / pi_up[y] until up[y] = 0
+        while np.any(up):
+            ratio, up = ratio * ratio[up], up[up]
+        pi = ratio / ratio.max()
+        pi /= pi.sum()
+        if np.max(np.abs(pi / chain.pi - 1.0)) > 1e-12:
+            flux = pi[:, None] * P
+            twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T).max()))
+    object.__setattr__(chain, "_twin", twin)
+    return twin or chain
 
 
 def build_chain(P, pi=None) -> ReversibleChain:
@@ -332,12 +343,12 @@ def build_chain(P, pi=None) -> ReversibleChain:
     )
 
 
-_spectral_cache: "weakref.WeakKeyDictionary[ReversibleChain, SpectralDecomposition]"
-_spectral_cache = weakref.WeakKeyDictionary()
-
-
 def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
-    """Eigendecompose a reversible chain (cached per chain object).
+    """Eigendecompose a reversible chain, once: the result is kept on ``chain``.
+
+    The first call stores the decomposition on the chain object, and every
+    later call on it, or on a ``copy.copy`` of it, returns that same object.
+    It holds d**2 + d doubles for as long as the chain lives.
 
     Works through the symmetrization ``A = D^{1/2} P D^{-1/2}`` so the dense
     symmetric solver applies; eigenfunctions are mapped back with
@@ -351,9 +362,8 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     NotErgodic
         ``beta >= 1 - SPEC_TOL`` — the chain mixes too slowly to certify.
     """
-    cached = _spectral_cache.get(chain)
-    if cached is not None:
-        return cached
+    if chain._decomposition is not None:
+        return chain._decomposition
 
     root = np.sqrt(chain.pi)
     A = (root[:, None] * chain.P) / root[None, :]
@@ -394,7 +404,7 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
         beta1=beta1,
         beta=beta,
     )
-    _spectral_cache[chain] = dec
+    object.__setattr__(chain, "_decomposition", dec)
     return dec
 
 
@@ -448,19 +458,6 @@ def weighted_norm(f, pi, p) -> float:
         return s * float(np.sqrt(np.dot(pi, f * f)))
     f2 = f * f
     return s * float(np.dot(pi, f2 * f2) ** 0.25)
-
-
-def weighted_inner(f, g, pi) -> float:
-    """Inner product ``<f, g>_pi = sum_x pi[x] f[x] g[x]``."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    return float(np.dot(pi * f, g))
-
-
-def mean_value(f, pi) -> float:
-    """Stationary mean ``<f, 1>_pi``."""
-    return weighted_inner(f, np.ones_like(np.asarray(f, dtype=np.float64)), pi)
 
 
 def spectral_coefficients(

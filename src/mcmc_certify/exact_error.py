@@ -43,7 +43,6 @@ from .chain import (
     as_distribution,
     spectral_coefficients,
     spectral_decompose,
-    weighted_inner,
 )
 from .errors import _BELOW_ONE, BudgetOverflow, _check_count, _check_int, _check_real
 
@@ -254,11 +253,11 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
     g = _centred(f, chain.pi)
     g2 = g * g
 
-    stationary = n * weighted_inner(g, g, chain.pi)
+    stationary = n * float(np.dot(chain.pi * g, g))
     v = g.copy()
     for m in range(1, n):
         v = chain.P @ v
-        stationary += 2.0 * (n - m) * weighted_inner(g, v, chain.pi)
+        stationary += 2.0 * (n - m) * float(np.dot(chain.pi * g, v))
 
     q = nu
     for _ in range(n0):
@@ -269,11 +268,11 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
         if j > 1:
             q = q @ chain.P
         dev = q / q.sum() / chain.pi - 1.0
-        diagonal += weighted_inner(dev, g2, chain.pi)
+        diagonal += float(np.dot(chain.pi * dev, g2))
         w = g.copy()
         for _ in range(j + 1, n + 1):
             w = chain.P @ w
-            cross += weighted_inner(dev, g * w, chain.pi)
+            cross += float(np.dot(chain.pi * dev, g * w))
 
     n2 = float(n) * float(n)
     return (stationary + diagonal + 2.0 * cross) / n2 * s * s

@@ -16,6 +16,16 @@ from mcmc_certify.errors import TooLarge
 _ENUMERATION_CAP = 10**7
 
 
+def weighted_inner(f, g, pi) -> float:
+    """Inner product ``<f, g>_pi = sum_x pi[x] f[x] g[x]``."""
+    return float(np.dot(np.asarray(pi, dtype=np.float64) * np.asarray(f, dtype=np.float64), g))
+
+
+def mean_value(f, pi) -> float:
+    """Stationary mean ``<f, 1>_pi``."""
+    return weighted_inner(f, np.ones(len(f)), pi)
+
+
 def metropolis_chain(weights) -> mc.ReversibleChain:
     """Metropolis kernel targeting ``weights / sum(weights)``.
 
@@ -91,7 +101,7 @@ def forward_exact_mse(chain, nu, f, n: int, n0: int, chunk: int = 2048):
     """
     f = np.asarray(f, dtype=np.float64)
     P, pi = chain.P, chain.pi
-    g = f - mc.mean_value(f, pi)
+    g = f - mean_value(f, pi)
     pi_g = pi * g
 
     # prefix[i] = pi g * sum_{m=1..i+1} P^m g, for the cross term.
@@ -161,7 +171,7 @@ def _mean_zero_trials(chain, p) -> np.ndarray:
 
     trials = []
     for v in cols:
-        v = v - mc.mean_value(v, chain.pi)
+        v = v - mean_value(v, chain.pi)
         norm = mc.weighted_norm(v, chain.pi, p)
         if norm > 1e-14:
             trials.append(v / norm)
@@ -255,7 +265,7 @@ def l_functional(chain, nu, k: int, h) -> float:
         raise ValueError(f"functional index k must be >= 1, got {k!r}")
     h = _check_length(chain, h, "function")
     dev = deviation_function(chain, nu, k)
-    return mc.weighted_inner(dev.values, h, chain.pi)
+    return weighted_inner(dev.values, h, chain.pi)
 
 
 def worst_case_stationary(chain, n: int) -> float:
@@ -296,7 +306,7 @@ def path_enumeration_oracle(chain, nu, f, spec) -> float:
             f"enumeration needs {n_paths} paths, cap is {_ENUMERATION_CAP}"
         )
 
-    mean = mc.mean_value(f, chain.pi)
+    mean = mean_value(f, chain.pi)
     P = chain.P
     partial_sums = []
     for idx in _index_chunks(d, length, 200_000):

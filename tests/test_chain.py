@@ -1,5 +1,7 @@
 """Validation, stationary recovery and spectral decomposition tests."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from mcmc_certify.errors import (
 from chain_strategies import (
     apply_to_distribution,
     apply_to_function,
+    mean_value,
     operator_norm_on_mean_zero,
     reversible_chains,
     state_functions,
@@ -165,6 +168,18 @@ def test_single_state_chain():
     assert dec.beta1 == 0.0 and dec.beta == 0.0
 
 
+def test_a_copy_keeps_the_decomposition(monkeypatch):
+    # The decomposition lives on the chain object, so a copy carries it and
+    # eigh runs once.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    chain = mc.build_chain([[0.7, 0.3, 0.0], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6]])
+    dec = mc.spectral_decompose(chain)
+    assert mc.spectral_decompose(copy.copy(chain)) is dec
+    assert calls == [(3, 3)]
+
+
 def test_lazy_transform_shifts_spectrum(bd3):
     # Q = (I + P)/2 has eigenvalues (1 + lambda_k)/2 and the same pi.
     d = bd3.size
@@ -236,7 +251,7 @@ def test_weighted_norms_hand_values(two_state):
     assert mc.weighted_norm(f, pi, 2) == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-13)
     assert mc.weighted_norm(f, pi, 4) == pytest.approx((2.0 / 3.0) ** 0.25, rel=1e-13)
     assert mc.weighted_norm(f, pi, np.inf) == 1.0
-    assert mc.mean_value(f, pi) == pytest.approx(2.0 / 3.0, rel=1e-13)
+    assert mean_value(f, pi) == pytest.approx(2.0 / 3.0, rel=1e-13)
     with pytest.raises(ValueError):
         mc.weighted_norm(f, pi, 3)
 
@@ -265,7 +280,7 @@ def test_spectral_coefficients_parseval(suite):
         assert a @ a == pytest.approx(mc.weighted_norm(f, chain.pi, 2) ** 2, rel=1e-10)
         # Reconstruction in the eigenbasis.
         assert dec.eigenfunctions @ a == pytest.approx(f, abs=1e-10)
-        assert a[0] == pytest.approx(mc.mean_value(f, chain.pi), abs=1e-12)
+        assert a[0] == pytest.approx(mean_value(f, chain.pi), abs=1e-12)
 
 
 def test_operator_norm_p2_equals_beta_power(suite):

@@ -24,6 +24,7 @@ from mcmc_certify.errors import BudgetOverflow, TooLarge
 
 from chain_strategies import (
     forward_exact_mse,
+    mean_value,
     path_enumeration_oracle,
     reversible_chains,
     standard_starts,
@@ -78,7 +79,7 @@ def test_asymptotic_constant_degenerate_cases(suite):
     chain = suite["uniform_three"]
     # beta1 = 0: the constant reduces to the stationary variance.
     f = np.array([1.0, 0.0, 0.0])
-    var = mc.weighted_norm(f - mc.mean_value(f, chain.pi), chain.pi, 2) ** 2
+    var = mc.weighted_norm(f - mean_value(f, chain.pi), chain.pi, 2) ** 2
     assert mc.asymptotic_constant(chain, f) == pytest.approx(var, rel=1e-12)
 
 
@@ -435,6 +436,23 @@ def test_balanced_pi_is_accurate_in_every_entry():
     assert np.max(np.abs(balanced.pi / exact - 1.0)) <= 1e-13
     assert balanced.reversibility_residual <= 1e-16
     assert np.max(np.abs(chain.pi / exact - 1.0)) > 1e-3  # the lstsq solve's
+
+
+def test_repeated_exact_calls_build_and_decompose_the_twin_once(monkeypatch):
+    # The lstsq pi is over 1e-3 off (see above), so exact_error works on a
+    # balanced twin.  The chain keeps it, and the twin keeps its eigenpairs.
+    nu, f = np.eye(32)[0], np.arange(32.0)
+    specs = [mc.EstimatorSpec(n=100, n0=n0) for n0 in (0, 7)]
+    fresh = [vars(mc.exact_error(birth_death_chain(32, 3.0, solve_pi=True), nu, f, spec))
+             for spec in specs]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    chain = birth_death_chain(32, 3.0, solve_pi=True)
+    for spec, expected in zip(specs, fresh):
+        assert vars(mc.exact_error(chain, nu, f, spec)) == expected
+    assert calls == [(32, 32)]
+    assert _with_balanced_pi(chain) is _with_balanced_pi(chain) is not chain
 
 
 def test_balanced_pi_needs_two_way_edges():

@@ -55,7 +55,10 @@ def test_all_reexports_every_submodule_name():
 
 def test_verification_aids_are_not_public():
     moved = {
-        "chain": ("apply_to_function", "operator_norm_on_mean_zero", "apply_to_distribution"),
+        "chain": (
+            "apply_to_function", "operator_norm_on_mean_zero", "apply_to_distribution",
+            "mean_value", "weighted_inner",
+        ),
         "bounds": ("l_functional", "total_variation", "DeviationFunction", "deviation_function"),
         "simulate": ("sample_trajectory",),
         "exact_error": ("worst_case_stationary", "path_enumeration_oracle"),
@@ -66,7 +69,7 @@ def test_verification_aids_are_not_public():
             assert name not in mc.__all__, name
             assert not hasattr(module, name), (module_name, name)
     assert importlib.util.find_spec("mcmc_certify.convergence") is None
-    assert len(mc.__all__) == 63
+    assert len(mc.__all__) == 61
 
 
 _QUERY = mc.BudgetQuery(N=10, beta=0.5, C=10.0)
