@@ -24,9 +24,9 @@ Both families take their start constants from here: :func:`density_ratio_bound`
 (``C_density``) and :func:`mass_floor_bound` (``C_pi``); :func:`chi2_contrast`
 of the start against ``pi`` is reported beside them.
 
-Both families work on :func:`~mcmc_certify.chain._scaled` f and multiply by
-``s * s`` once, so a bound beyond float64 is ``inf``, which is still an upper
-bound, and no floating-point warning.
+Both families check their inputs in :func:`~mcmc_certify.exact_error._inputs`,
+work on its ``_scaled`` f and multiply by ``s * s`` once, so a bound beyond
+float64 is ``inf``, which is still an upper bound, and no floating-point warning.
 """
 
 from __future__ import annotations
@@ -37,18 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._geometric import u_sum, v_sum
-from .chain import (
-    _MASS_FLOOR,
-    ReversibleChain,
-    _centred,
-    _check_length,
-    _scaled,
-    as_distribution,
-    spectral_decompose,
-    weighted_norm,
-)
+from .chain import _MASS_FLOOR, ReversibleChain, as_distribution, spectral_decompose, weighted_norm
 from .errors import _BELOW_ONE, ZeroMass, _check_count, _check_name, _check_real
-from .exact_error import EstimatorSpec, stationary_error
+from .exact_error import EstimatorSpec, _inputs, stationary_error
 
 __all__ = [
     "POWER_FLOOR",
@@ -177,8 +168,7 @@ class BoundReport:
 
 def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind: str):
     norm_kind = _check_name(norm_kind, NORM_KINDS, "norm_kind")
-    nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f, s = _scaled(_check_length(chain, f, "function"))
+    nu, f, s, g = _inputs(chain, f, nu, spec)
     dec = spectral_decompose(chain)
     constants = BoundConstants(
         beta1=dec.beta1,
@@ -186,7 +176,7 @@ def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind:
         C_density=density_ratio_bound(nu, chain.pi),
         C_pi=mass_floor_bound(chain.pi),
     )
-    return norm_kind, s, f, dec, constants
+    return norm_kind, s, f, g, dec, constants
 
 
 def _report(norm_kind, leading, correction, s, constants) -> BoundReport:
@@ -209,16 +199,15 @@ def bound_general_start(
     * ``"l4"``   — ``sqrt(C_density) * ||g||_4^2`` with the u aggregate,
     * ``"linf"`` — ``sqrt(C_density) * ||g||_inf * ||g||_2`` with the v aggregate,
 
-    where ``g`` is the centered function.  (The sup-norm route uses
+    where ``g`` is the gate's centred f.  (The sup-norm route uses
     ``||g||_inf * ||g||_2`` rather than ``||g||_inf^2`` — valid since
     ``||g^2||_2 <= ||g||_inf ||g||_2`` — which keeps it below the closed-form
     variant's constant.)
     """
-    norm_kind, s, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    norm_kind, s, f, g, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
     n, n0 = spec.n, spec.n0
 
     leading = stationary_error(chain, f, n)
-    g = _centred(f, chain.pi)
     beta = dec.beta
     penalty = damped_power(beta, n0)
 
@@ -261,7 +250,7 @@ def bound_theorem(
     replaced by their caps and the centered norms by uncentered ones
     (``||g||_2 <= ||f||_2``, ``||g||_p <= 2 ||f||_p`` otherwise).
     """
-    norm_kind, s, f, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
+    norm_kind, s, f, _, dec, constants = _bound_inputs(chain, nu, f, spec, norm_kind)
     n, n0 = spec.n, spec.n0
 
     beta1, beta = dec.beta1, dec.beta

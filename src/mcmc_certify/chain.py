@@ -273,8 +273,10 @@ def build_chain(P, pi=None) -> ReversibleChain:
     P : array-like
         Square row-stochastic matrix.
     pi : array-like, optional
-        Stationary distribution.  When omitted it is recovered by a
-        least-squares solve of ``pi P = pi, sum(pi) = 1``.
+        Stationary distribution.  When omitted it is solved by least squares,
+        which loses small entries: on the birth-death chain with up 0.306 and
+        down 0.3, pi_min is 1.2% off at d = 1000, 75% at d = 1200, and d = 1600
+        raises ``ZeroMass`` (errors near 1e-11).  Supply ``pi`` for such chains.
 
     Raises
     ------

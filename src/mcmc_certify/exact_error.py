@@ -129,12 +129,23 @@ def worst_case_mse(n: int, beta1: float) -> float:
     return w_factor(n, beta1) / (float(n) * float(n))
 
 
-def _expansion(chain: ReversibleChain, f):
-    """``(a, lam, g, s)``: g is ``_centred`` ``f / s`` (``_scaled``), ``a_k = <g, u_k>_pi``, k >= 1.
-    The coefficients of f itself would lean on ``<u_k, 1>_pi = 0``, true only to rounding.
-    """
+def _inputs(chain: ReversibleChain, f, *start):
+    """``(nu, f / s, s, g)``, g the ``_centred`` ``_scaled`` f: the input rule of every route.
+    ``start`` is ``(nu, spec)`` or empty (nu None); a wrong spec type or length is a ValueError."""
+    nu = None
+    if start:
+        nu, spec = start
+        if not isinstance(spec, EstimatorSpec):
+            raise ValueError("spec must be an EstimatorSpec")
+        nu = _check_length(chain, nu, "start distribution", as_distribution)
     f, s = _scaled(_check_length(chain, f, "function"))
-    g = _centred(f, chain.pi)
+    return nu, f, s, _centred(f, chain.pi)
+
+
+def _expansion(chain: ReversibleChain, f):
+    """``(a, lam, g, s)`` of the :func:`_inputs` g and s, ``a_k = <g, u_k>_pi``, k >= 1.
+    The coefficients of f itself would lean on ``<u_k, 1>_pi = 0``, true only to rounding."""
+    _, _, s, g = _inputs(chain, f)
     dec = spectral_decompose(chain)
     return spectral_coefficients(dec, g, chain.pi)[1:], dec.eigenvalues[1:], g, s
 
@@ -172,12 +183,11 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     (O(s d^2)) until it has spread; the window states passed on the way are
     summed directly, and the measures ``(q - pi) g`` they leave are carried on.
 
-    Raises :class:`BudgetOverflow` if the start is still concentrated on
-    states of small pi after 4096 steps and the window goes on beyond them,
-    or if the MSE itself exceeds float64.
+    Raises ``ValueError`` from :func:`_inputs`, and :class:`BudgetOverflow` if
+    the start is still concentrated on states of small pi after 4096 steps and
+    the window goes on beyond them, or if the MSE itself exceeds float64.
     """
-    nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f, s = _scaled(_check_length(chain, f, "function"))
+    nu, f, s, _ = _inputs(chain, f, nu, spec)
     n, n0 = spec.n, spec.n0
     chain = _with_balanced_pi(chain)
     stationary = stationary_error(chain, f, n)
@@ -239,18 +249,16 @@ def exact_error_naive(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> flo
 
     The stationary part is summed from covariances ``<g, P^m g>_pi`` and the
     correction terms take every deviation ``nu P^m / pi - 1`` from one walk
-    ``q -> q P`` of the start.  With :func:`exact_error` it shares only the rules
-    for f (``_centred`` g of ``_scaled`` f, times ``s * s``), no intermediate
-    result.  Costs O((n0 + n^2) d^2); restricted to n <= 50, and raises
-    :class:`BudgetOverflow` before its first step if the walk takes over 2**27.
+    ``q -> q P`` of the start.  With :func:`exact_error` it shares only the input
+    gate :func:`_inputs` (and ``s * s``), no intermediate result.  Costs
+    O((n0 + n^2) d^2); restricted to n <= 50, and raises :class:`BudgetOverflow`
+    before its first step if the walk takes over 2**27.
     """
-    nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f, s = _scaled(_check_length(chain, f, "function"))
+    nu, _, s, g = _inputs(chain, f, nu, spec)
     n, n0 = _check_int(spec.n, 1, "naive cross-check is restricted to n <= 50", 50), spec.n0
     if n0 + n - 1 > _WALK_CAP:
         raise BudgetOverflow(f"the walk takes {n0 + n - 1} steps, cap is {_WALK_CAP}")
 
-    g = _centred(f, chain.pi)
     g2 = g * g
 
     stationary = n * float(np.dot(chain.pi * g, g))

@@ -44,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ReversibleChain, _centred, _check_length, _scaled, as_distribution
+from .chain import ReversibleChain
 from .errors import BudgetOverflow, _check_int, _shown
-from .exact_error import _WALK_CAP, EstimatorSpec
+from .exact_error import _WALK_CAP, EstimatorSpec, _inputs
 
 __all__ = ["SimulationConfig", "EmpiricalErrorReport", "estimate_error"]
 
@@ -351,21 +351,22 @@ def estimate_error(chain: ReversibleChain, nu, f, config: SimulationConfig) -> E
     buffers shared by the k workers (or one replication, if longer), 128 KiB
     of drawn uniforms per worker, a few doubles per replication, two words per
     positive entry of P and nu (three with one bucket a row, and per padding
-    entry), and at most 4 MiB of guide with g at each row's key.  ``std_error`` is the sample standard
-    deviation of the squared errors divided by sqrt(R); both are computed on
-    g, the ``_centred`` :func:`~mcmc_certify.chain._scaled` f.  Raises
+    entry), and at most 4 MiB of guide with g at each row's key.  ``std_error``
+    is the sample standard deviation of the squared errors divided by sqrt(R);
+    both are computed on the g of :func:`~mcmc_certify.exact_error._inputs`.
+    Raises ``ValueError`` unless config is a :class:`SimulationConfig`, and
     :class:`BudgetOverflow` before anything is allocated if one replication
     takes more than 2**27 uniforms or R exceeds 2**27, or if the MSE exceeds float64.
     """
+    if not isinstance(config, SimulationConfig):
+        raise ValueError("config must be a SimulationConfig")
     spec = config.spec
     n, n0, length, R = spec.n, spec.n0, spec.total, config.replications
     if length > _WALK_CAP:
         raise BudgetOverflow(f"one replication takes {length} uniforms, cap is {_WALK_CAP}")
     if R > _REPLICATION_CAP:
         raise BudgetOverflow(f"replications must be at most {_REPLICATION_CAP}, got {_shown(R)}")
-    nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f, s = _scaled(_check_length(chain, f, "function"))
-    g = _centred(f, chain.pi)
+    nu, _, s, g = _inputs(chain, f, nu, spec)
 
     deviations = _window_sums(config.seed, _guide(chain.P, nu, g), n0, length, R)
     deviations /= n  # in place: a window's mean of g is its deviation

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,6 +214,8 @@ _THIRDS = np.full((3, 3), 1.0 / 3.0)
 # Each pair is out of balance by 0.8e-10 (under REV_TOL), and the flows into
 # state 0 add up to 1.6e-10 (over STAT_TOL).
 _OFF = 0.8e-10
+# An object with a spec's fields that is no EstimatorSpec.
+_LOOSE = SimpleNamespace
 _REFUSALS = {
     "f not 1-D": (lambda: mc.as_state_function([[1.0, 2.0]]), ValueError,
                   "state function must be a non-empty 1-D vector"),
@@ -231,6 +234,23 @@ _REFUSALS = {
         mc.NotErgodic, "supplied distribution is not invariant (residual 1.6"),
     "spec not EstimatorSpec": (lambda: mc.SimulationConfig(replications=2, seed=0, spec=(1, 0)),
                                ValueError, "spec must be an EstimatorSpec"),
+    # Every route that takes a spec refuses any other object, before it reads one: a
+    # look-alike's window is unchecked (n0 < 0, n <= 0), and a tuple has no fields.
+    "exact_error tuple spec": (lambda: mc.exact_error(_FAIR, *_START[:2], (10, 2)),
+                               ValueError, "spec must be an EstimatorSpec"),
+    "exact_error n0 < 0": (lambda: mc.exact_error(_FAIR, *_START[:2], _LOOSE(n=10, n0=-3)),
+                           ValueError, "spec must be an EstimatorSpec"),
+    "naive n0 < 0": (lambda: mc.exact_error_naive(_FAIR, *_START[:2], _LOOSE(n=10, n0=-3)),
+                     ValueError, "spec must be an EstimatorSpec"),
+    "bound_theorem n < 0": (lambda: mc.bound_theorem(_FAIR, *_START[:2], _LOOSE(n=-4, n0=2), "l2"),
+                            ValueError, "spec must be an EstimatorSpec"),
+    "bound_theorem n = 0": (lambda: mc.bound_theorem(_FAIR, *_START[:2], _LOOSE(n=0, n0=2), "l2"),
+                            ValueError, "spec must be an EstimatorSpec"),
+    "bound_general_start tuple spec": (
+        lambda: mc.bound_general_start(_FAIR, *_START[:2], (10, 2), "l2"),
+        ValueError, "spec must be an EstimatorSpec"),
+    "estimate_error tuple config": (lambda: mc.estimate_error(_FAIR, *_START[:2], (1000, 7)),
+                                    ValueError, "config must be a SimulationConfig"),
     "birth-death shapes": (lambda: mc.birth_death_matrix([0.1], [0.1, 0.2]), ValueError,
                            "up and down must be equal-length non-empty 1-D vectors"),
     "chi2 lengths": (lambda: mc.chi2_contrast([1.0, 0.0], [0.5, 0.25, 0.25]), ValueError,
@@ -246,3 +266,34 @@ def test_refusal_names_its_input(call, error, message):
         call()
     assert type(refused.value) is error
     assert str(refused.value).startswith(message), str(refused.value)
+
+
+# Every route that takes f, as a call of (nu, f); the last two have no start.
+_ROUTES = {
+    "exact_error": lambda nu, f: mc.exact_error(_FAIR, nu, f, _SPEC),
+    "exact_error_naive": lambda nu, f: mc.exact_error_naive(_FAIR, nu, f, _SPEC),
+    "bound_theorem": lambda nu, f: mc.bound_theorem(_FAIR, nu, f, _SPEC, "l2"),
+    "bound_general_start": lambda nu, f: mc.bound_general_start(_FAIR, nu, f, _SPEC, "l2"),
+    "estimate_error": lambda nu, f: mc.estimate_error(
+        _FAIR, nu, f, mc.SimulationConfig(replications=2, seed=0, spec=_SPEC)
+    ),
+    "stationary_error": lambda nu, f: mc.stationary_error(_FAIR, f, 1),
+    "asymptotic_constant": lambda nu, f: mc.asymptotic_constant(_FAIR, f),
+}
+_STARTED = list(_ROUTES)[:-2]
+
+
+@pytest.mark.parametrize(
+    "route, nu, f, message",
+    [
+        *[pytest.param(route, [1.0, 0.0], [0.0, 1.0, 2.0], "function", id=f"{route}-f")
+          for route in _ROUTES],
+        *[pytest.param(route, [1.0, 0.0, 0.0], [0.0, 1.0], "start distribution", id=f"{route}-nu")
+          for route in _STARTED],
+    ],
+)
+def test_every_route_refuses_a_wrong_length_in_the_same_words(route, nu, f, message):
+    with pytest.raises(ValueError) as refused:
+        _ROUTES[route](nu, f)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"{message} has length 3, chain has 2 states"
