@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._geometric import u_sum, v_sum
-from .chain import _MASS_FLOOR, ReversibleChain, as_distribution, spectral_decompose, weighted_norm
-from .errors import _BELOW_ONE, ZeroMass, _check_count, _check_name, _check_real
+from .chain import ReversibleChain, _check_mass, as_distribution, spectral_decompose, weighted_norm
+from .errors import _BELOW_ONE, _check_count, _check_name, _check_real
 from .exact_error import EstimatorSpec, _inputs, stationary_error
 
 __all__ = [
@@ -108,40 +108,32 @@ def _from_start(aggregate, b: float, n: int) -> float:
     return aggregate(b, n) / b if b > 0.0 else 1.0
 
 
-def _ratio_safe(mu: np.ndarray, what: str) -> None:
-    if np.any(mu < _MASS_FLOOR):
-        i = int(np.argmin(mu))
-        raise ZeroMass(f"{what} has vanishing mass at state {i} ({mu[i]!r})")
-
-
 def chi2_contrast(nu, mu) -> float:
     """Chi-square contrast ``sum_x (nu[x] - mu[x])^2 / mu[x]``.
 
     Zero iff the distributions coincide; requires ``mu > 0`` everywhere.
     """
-    nu = np.asarray(as_distribution(nu))
-    mu = np.asarray(as_distribution(mu))
+    nu, mu = as_distribution(nu), as_distribution(mu)
     if nu.shape != mu.shape:
         raise ValueError("distributions must have equal length")
-    _ratio_safe(mu, "reference distribution")
+    _check_mass(mu, "reference distribution")
     diff = nu - mu
     return float(np.sum(diff * diff / mu))
 
 
 def density_ratio_bound(nu, pi) -> float:
     """Start-quality constant ``||nu/pi - 1||_inf`` (0 iff started at pi)."""
-    nu = np.asarray(as_distribution(nu))
-    pi = np.asarray(pi, dtype=np.float64)
+    nu, pi = as_distribution(nu), np.asarray(pi, dtype=np.float64)
     if nu.shape != pi.shape:
         raise ValueError("distributions must have equal length")
-    _ratio_safe(pi, "stationary distribution")
+    _check_mass(pi, "stationary distribution")
     return float(np.max(np.abs(nu / pi - 1.0)))
 
 
 def mass_floor_bound(pi) -> float:
     """Worst-case density constant ``||1/pi||_inf = 1 / min_x pi[x]``."""
     pi = np.asarray(pi, dtype=np.float64)
-    _ratio_safe(pi, "stationary distribution")
+    _check_mass(pi, "stationary distribution")
     return float(1.0 / np.min(pi))
 
 

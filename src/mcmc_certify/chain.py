@@ -81,34 +81,43 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_vector(values, what: str) -> np.ndarray:
+    """*values* as a finite, non-empty 1-D float64 copy; *what* names it in errors."""
+    v = np.array(values, dtype=np.float64, copy=True)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite entries")
+    return v
+
+
 def as_state_function(values) -> np.ndarray:
     """Coerce *values* to a finite 1-D float64 vector (a copy, read-only)."""
-    f = np.array(values, dtype=np.float64, copy=True)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("state function must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("state function has non-finite entries")
-    return _readonly(f)
+    return _readonly(_as_vector(values, "state function"))
 
 
 def as_distribution(weights) -> np.ndarray:
-    """Coerce *weights* to a probability vector.
+    """Coerce *weights* to a probability vector (a copy, read-only).
 
-    Entries must be finite and nonnegative and sum to 1 within ``ROW_TOL``;
-    the result is renormalized exactly and returned read-only.
+    Entries must be finite and nonnegative and sum to 1 within ``ROW_TOL``.
+    The values come back as given, the rule P's rows follow too, so a checked
+    vector passes every later check unchanged: ``nu = chain.pi`` stays pi.
     """
-    nu = np.array(weights, dtype=np.float64, copy=True)
-    if nu.ndim != 1 or nu.size == 0:
-        raise ValueError("distribution must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(nu)):
-        raise ValueError("distribution has non-finite entries")
+    nu = _as_vector(weights, "distribution")
     if np.any(nu < 0):
         i = int(np.argmin(nu))
         raise ValueError(f"distribution entry {i} is negative ({float(nu[i])!r})")
     s = float(nu.sum())
     if abs(s - 1.0) > ROW_TOL:
         raise ValueError(f"distribution sums to {s!r}, not 1")
-    return _readonly(nu / s)
+    return _readonly(nu)
+
+
+def _check_mass(mu: np.ndarray, what: str) -> None:
+    """Raise :class:`ZeroMass` if an entry of *mu* is below ``_MASS_FLOOR``, zero or not."""
+    if np.any(mu < _MASS_FLOOR):
+        i = int(np.argmin(mu))
+        raise ZeroMass(f"{what} has vanishing mass at state {i} ({float(mu[i])!r})")
 
 
 def as_transition_matrix(entries) -> np.ndarray:
@@ -241,10 +250,11 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
     Each state takes ``pi_y = pi_x P_xy / P_yx`` from its parent on the
     two-way edges, so every entry is accurate to about depth-many ulp of its
     own size; a least-squares solve is accurate to eps absolute.  The chain
-    comes back as it is if its pi is already within 1e-12 relative or the
-    two-way edges do not connect all states.  The first call stores the twin
-    (None for the chain itself, so no reference cycle forms), and later calls
-    return that same object, decomposition included.
+    comes back as it is if the two-way edges do not connect all states, or if
+    its pi, scaled to the same sum, is already within 1e-12 relative: a pi
+    sums to 1 only within ``ROW_TOL``, so the shape decides.  The first call
+    stores the twin (None for the chain itself, so no reference cycle forms),
+    and later calls return that same object, decomposition included.
     """
     if "_twin" in vars(chain):
         return vars(chain)["_twin"] or chain
@@ -258,7 +268,7 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
             ratio, up = ratio * ratio[up], up[up]
         pi = ratio / ratio.max()
         pi /= pi.sum()
-        if np.max(np.abs(pi / chain.pi - 1.0)) > 1e-12:
+        if np.max(np.abs(pi * chain.pi.sum() / chain.pi - 1.0)) > 1e-12:
             flux = pi[:, None] * P
             twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T).max()))
     object.__setattr__(chain, "_twin", twin)
@@ -310,14 +320,11 @@ def build_chain(P, pi=None) -> ReversibleChain:
     if pi is None:
         stationary = _solve_stationary(P)
     else:
-        stationary = np.asarray(as_distribution(pi))
+        stationary = as_distribution(pi)
         if len(stationary) != len(P):
             raise ValueError(f"stationary distribution has length {len(stationary)}, "
                              f"chain has {len(P)} states")
-
-    if np.any(stationary < _MASS_FLOOR):
-        i = int(np.argmin(stationary))
-        raise ZeroMass(f"stationary mass at state {i} is {float(stationary[i])!r}")
+    _check_mass(stationary, "stationary distribution")
 
     flux = stationary[:, None] * P
     imbalance = np.abs(flux - flux.T)
@@ -338,11 +345,7 @@ def build_chain(P, pi=None) -> ReversibleChain:
             f"supplied distribution is not invariant (residual {stat_residual:.3e})"
         )
 
-    return ReversibleChain(
-        P=P,
-        pi=_readonly(stationary.copy()),
-        reversibility_residual=residual,
-    )
+    return ReversibleChain(P=P, pi=_readonly(stationary), reversibility_residual=residual)
 
 
 def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:

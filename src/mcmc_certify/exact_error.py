@@ -176,10 +176,14 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     where ``G_n(x) = E_n(x, 1)`` and ``D_n`` are the geometric sums of
     :func:`~mcmc_certify._geometric.pair_sums`.  Costs O(d^3 + d^2 log n).
 
-    f enters only as g and the start only as ``nu - pi``: a start at pi carries
-    no correction.  ``nu . u_k`` loses ``eps / sqrt(pi_x)`` on the start's
-    states, so every term uses pi re-derived from P by detailed balance, and a
-    start on states of small pi first takes s <= 4096 exact steps ``q -> q P``
+    f enters only as g and the start only as ``nu - pi``, and a start is used as
+    given once it sums to 1 within ``ROW_TOL``, so ``nu = chain.pi`` carries a
+    correction of exactly 0.  The one exception: ``nu . u_k`` loses
+    ``eps / sqrt(pi_x)`` on the start's states, so every term uses pi re-derived
+    from P by detailed balance, and where that pi is more than 1e-12 off the
+    shape of ``chain.pi`` (as a least-squares pi can be), ``nu = chain.pi``
+    carries the difference of the two.  A start on states of small pi first
+    takes s <= 4096 exact steps ``q -> q P``
     (O(s d^2)) until it has spread; the window states passed on the way are
     summed directly, and the measures ``(q - pi) g`` they leave are carried on.
 

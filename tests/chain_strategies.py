@@ -8,8 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
-from mcmc_certify.bounds import _ratio_safe
-from mcmc_certify.chain import _check_length
+from mcmc_certify.chain import _check_length, _check_mass
 from mcmc_certify.errors import TooLarge
 
 # Hard cap on path enumeration: d ** (n + n0) many paths.
@@ -242,7 +241,7 @@ def deviation_function(chain, nu, k: int) -> DeviationFunction:
     """Compute ``d_k`` for the given start ``nu`` and step count ``k >= 0``."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"step count k must be a nonnegative integer, got {k!r}")
-    _ratio_safe(chain.pi, "stationary distribution")
+    _check_mass(chain.pi, "stationary distribution")
     marginal = apply_to_distribution(chain, nu, k)
     values = marginal / chain.pi - 1.0
     values.setflags(write=False)

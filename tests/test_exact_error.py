@@ -360,6 +360,40 @@ def test_a_start_at_pi_carries_no_correction(n, n0):
     assert report.mse == report.stationary_mse
 
 
+def metropolis_rings(count, seed):
+    """Seeded Metropolis rings with d in [3, 29], each built twice: with its
+    pi supplied and with pi solved by build_chain; f is a random function."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(3, 30))
+        x = np.arange(d)
+        width = int(rng.integers(1, (d - 1) // 2 + 1))
+        ring = (np.abs((x[:, None] - x[None, :] + d // 2) % d - d // 2) <= width) / (2 * width + 1)
+        pi = np.exp(rng.normal(0.0, rng.uniform(0.0, 3.0), d))
+        chain, f = metropolis_chain(pi / pi.sum(), ring), rng.normal(size=d)
+        yield chain, f
+        yield mc.build_chain(chain.P), f
+
+
+def test_a_start_at_chain_pi_carries_no_correction_on_any_route(suite):
+    # nu = chain.pi reaches every route as chain.pi itself, so its density
+    # constant and every start correction are 0.0.  The exact route is exact
+    # there where it keeps the chain's own pi, that is without a balanced twin.
+    cases = [(chain, np.arange(float(chain.size))) for chain in suite.values()]
+    cases += metropolis_rings(300, 30)
+    spec, exact = mc.EstimatorSpec(n=40, n0=3), 0
+    for chain, f in cases:
+        for kind in mc.NORM_KINDS:
+            for route in (mc.bound_general_start, mc.bound_theorem):
+                report = route(chain, chain.pi, f, spec, kind)
+                assert report.constants.C_density == 0.0 and report.correction_term == 0.0
+        if _with_balanced_pi(chain) is chain:
+            assert mc.exact_error(chain, chain.pi, f, spec).correction == 0.0
+            exact += 1
+    assert len(cases) == 606 and exact >= 550  # 39 of the solved rings have a twin
+    assert all(_with_balanced_pi(chain) is chain for chain in suite.values())
+
+
 def test_variance_on_a_graded_chain():
     # pi spans 110 decades and f is nearly constant where pi lives.  Expanded
     # as f itself, not g, the variance came out 20 decades low.
@@ -461,6 +495,25 @@ def test_balanced_pi_needs_two_way_edges():
     P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     chain = mc.ReversibleChain(P=P, pi=np.full(3, 1.0 / 3.0), reversibility_residual=0.0)
     assert _with_balanced_pi(chain) is chain
+
+
+@pytest.mark.parametrize("sum_off", [9.9e-13, -9.9e-13])
+def test_a_balanced_pi_off_in_its_sum_builds_no_twin(sum_off):
+    # A supplied pi is kept as given, so the twin test compares shapes: a pi
+    # within 1e-12 of the balanced shape is the chain's own, whatever its sum
+    # within ROW_TOL.  Compared unscaled, the ring's pi, 2e-13 off in shape,
+    # would make a twin.
+    P = birth_death_chain(32, 3.0, solve_pi=True).P
+    ring = np.roll(np.eye(6), 1, axis=1)
+    cases = [(P, _with_balanced_pi(mc.build_chain(P)).pi),
+             (0.5 * np.eye(6) + 0.25 * (ring + ring.T),
+              np.full(6, 1.0 / 6.0) * (1.0 + 2e-13 * (-1.0) ** np.arange(6)))]
+    for P, balanced in cases:
+        pi = balanced * (1.0 + sum_off)
+        chain = mc.build_chain(P, pi=pi)
+        assert chain.pi.tobytes() == pi.tobytes()
+        assert abs(chain.pi.sum() - 1.0 - sum_off) <= 1e-15
+        assert _with_balanced_pi(chain) is chain
 
 
 def test_exact_error_long_window(two_state):

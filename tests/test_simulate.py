@@ -47,6 +47,12 @@ def _force_workers(monkeypatch, k):
     monkeypatch.setattr(simulate, "_MIN_ROWS", 1)
 
 
+def test_usable_cores_without_an_affinity_call(monkeypatch):
+    # Platforms without sched_getaffinity count every core.
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    assert simulate._usable_cores() == simulate.os.cpu_count()
+
+
 def test_estimate_is_deterministic(two_state):
     nu = np.array([1.0, 0.0])
     f = np.array([1.0, 0.0])
