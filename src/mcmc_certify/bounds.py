@@ -20,8 +20,9 @@ not an upper bound (it can undershoot at n0 = 0).  The shifted sums satisfy
 the same caps, so the closed-form constants of :func:`bound_theorem` are
 unaffected.
 
-Both families take their start constants from here: :func:`density_ratio_bound`
-(``C_density``) and :func:`mass_floor_bound` (``C_pi``); :func:`chi2_contrast`
+Both families take the start constants of :func:`density_ratio_bound`
+(``C_density``) and :func:`mass_floor_bound` (``C_pi``) from the gate's checked
+nu and the checked ``chain.pi``, without checking them again; :func:`chi2_contrast`
 of the start against ``pi`` is reported beside them.
 
 Both families check their inputs in :func:`~mcmc_certify.exact_error._inputs`,
@@ -165,8 +166,8 @@ def _bound_inputs(chain: ReversibleChain, nu, f, spec: EstimatorSpec, norm_kind:
     constants = BoundConstants(
         beta1=dec.beta1,
         beta=dec.beta,
-        C_density=density_ratio_bound(nu, chain.pi),
-        C_pi=mass_floor_bound(chain.pi),
+        C_density=float(np.max(np.abs(nu / chain.pi - 1.0))),
+        C_pi=float(1.0 / np.min(chain.pi)),
     )
     return norm_kind, s, f, g, dec, constants
 

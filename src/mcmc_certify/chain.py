@@ -66,9 +66,9 @@ STAT_TOL = 1e-10
 # Spectral sanity: |lam[0] - 1| must stay below this, and beta must stay
 # below 1 - SPEC_TOL for the chain to count as ergodic.
 SPEC_TOL = 1e-8
-# Most states a chain may have.  Peak RSS of the CLI's `error --exact` was
-# 34 MB + 74 bytes * d**2 at d = 400..1600 (a parsed chain file, the dense
-# arrays and eigh), so the cap costs about 1.3 GB and minutes of O(d**3).
+# Most states a chain may have.  build_chain and spectral_decompose each peak 3 d**2 doubles
+# above what they held; the CLI's `error --exact` peaked at 100 MB RSS at d = 1024 and 314 MB
+# at 2048 (29 MB + 71 bytes * d**2), so the cap costs about 1.2 GB and minutes of O(d**3).
 _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300
@@ -270,7 +270,7 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
         pi /= pi.sum()
         if np.max(np.abs(pi * chain.pi.sum() / chain.pi - 1.0)) > 1e-12:
             flux = pi[:, None] * P
-            twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T).max()))
+            twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T, out=flux).max()))
     object.__setattr__(chain, "_twin", twin)
     return twin or chain
 
@@ -327,14 +327,13 @@ def build_chain(P, pi=None) -> ReversibleChain:
     _check_mass(stationary, "stationary distribution")
 
     flux = stationary[:, None] * P
-    imbalance = np.abs(flux - flux.T)
-    residual = float(imbalance.max())
+    residual = float(np.abs(flux - flux.T, out=flux).max())
     if residual > REV_TOL:
-        x, y = np.unravel_index(int(np.argmax(imbalance)), imbalance.shape)
+        x, y = np.unravel_index(int(np.argmax(flux)), flux.shape)
         raise NotReversible(
             f"detailed balance fails worst at pair ({x},{y}): "
-            f"pi[{x}]*P[{x},{y}] = {float(flux[x, y])!r} vs "
-            f"pi[{y}]*P[{y},{x}] = {float(flux[y, x])!r} (residual {residual:.3e})"
+            f"pi[{x}]*P[{x},{y}] = {float(stationary[x] * P[x, y])!r} vs "
+            f"pi[{y}]*P[{y},{x}] = {float(stationary[y] * P[y, x])!r} (residual {residual:.3e})"
         )
 
     # Reversibility w.r.t. pi implies invariance; this only trips when a
@@ -355,9 +354,9 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     later call on it, or on a ``copy.copy`` of it, returns that same object.
     It holds d**2 + d doubles for as long as the chain lives.
 
-    Works through the symmetrization ``A = D^{1/2} P D^{-1/2}`` so the dense
-    symmetric solver applies; eigenfunctions are mapped back with
-    ``u_k = D^{-1/2} v_k`` and are orthonormal in l2(pi).
+    Works through the symmetrization ``A = D^{1/2} P D^{-1/2}`` so the dense symmetric
+    solver applies, and reverses its ascending order rather than sorting it again;
+    eigenfunctions are mapped back with ``u_k = D^{-1/2} v_k``, orthonormal in l2(pi).
 
     Raises
     ------
@@ -380,9 +379,9 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     if not np.all(np.isfinite(lam)):
         raise SpectralFailure("eigensolver returned non-finite eigenvalues")
 
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    U = V[:, order] / root[:, None]
+    # A contiguous lam and a Fortran U keep the rounding of every later product.
+    lam = lam[::-1].copy()
+    U = np.divide(V[:, ::-1], root[:, None], order="F")
 
     if abs(lam[0] - 1.0) > SPEC_TOL:
         raise SpectralFailure(

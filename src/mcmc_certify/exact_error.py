@@ -143,23 +143,23 @@ def _inputs(chain: ReversibleChain, f, *start):
 
 
 def _expansion(chain: ReversibleChain, f):
-    """``(a, lam, g, s)`` of the :func:`_inputs` g and s, ``a_k = <g, u_k>_pi``, k >= 1.
+    """``(a, lam, s)`` of the :func:`_inputs` g and s, ``a_k = <g, u_k>_pi``, k >= 1.
     The coefficients of f itself would lean on ``<u_k, 1>_pi = 0``, true only to rounding."""
     _, _, s, g = _inputs(chain, f)
     dec = spectral_decompose(chain)
-    return spectral_coefficients(dec, g, chain.pi)[1:], dec.eigenvalues[1:], g, s
+    return spectral_coefficients(dec, g, chain.pi)[1:], dec.eigenvalues[1:], s
 
 
 def stationary_error(chain: ReversibleChain, f, n: int) -> float:
     """Exact stationary-start MSE ``(1/n^2) sum_{k>=1} <g, u_k>_pi^2 W(n, lam_k)``."""
     n = _check_count(n, 1, "window length n")
-    a, lam, _, s = _expansion(chain, f)
+    a, lam, s = _expansion(chain, f)
     return float(np.dot(a * a, window_weight(n, lam))) / (float(n) * float(n)) * s * s
 
 
 def asymptotic_constant(chain: ReversibleChain, f) -> float:
     """Limit of ``n * mse``: ``sum_{k>=1} <g, u_k>_pi^2 (1+lam_k)/(1-lam_k)``, inf past float64."""
-    a, lam, _, s = _expansion(chain, f)
+    a, lam, s = _expansion(chain, f)
     return float(np.dot(a * a, (1.0 + lam) / (1.0 - lam))) * s * s
 
 
@@ -187,17 +187,17 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
     (O(s d^2)) until it has spread; the window states passed on the way are
     summed directly, and the measures ``(q - pi) g`` they leave are carried on.
 
-    Raises ``ValueError`` from :func:`_inputs`, and :class:`BudgetOverflow` if
-    the start is still concentrated on states of small pi after 4096 steps and
-    the window goes on beyond them, or if the MSE itself exceeds float64.
+    nu and f are checked once, by :func:`_inputs` on the chain whose decomposition every
+    term uses.  Raises ``ValueError`` from there, and :class:`BudgetOverflow` if the start
+    is still on states of small pi after 4096 steps and the window goes on beyond them,
+    or if the MSE itself exceeds float64.
     """
-    nu, f, s, _ = _inputs(chain, f, nu, spec)
-    n, n0 = spec.n, spec.n0
     chain = _with_balanced_pi(chain)
-    stationary = stationary_error(chain, f, n)
-    a, lam, g, _ = _expansion(chain, f)  # f is already f / s: its s is 1
-    pi = chain.pi
-    pi_g = pi * g
+    nu, f, s, g = _inputs(chain, f, nu, spec)
+    n, n0 = spec.n, spec.n0
+    stationary = stationary_error(chain, f, n)  # f is already f / s: its s is 1
+    dec, pi = spectral_decompose(chain), chain.pi
+    a, lam, pi_g = spectral_coefficients(dec, g, pi)[1:], dec.eigenvalues[1:], pi * g
 
     q, carried, t = nu, np.zeros_like(pi), 0
     diagonal = cross = 0.0
@@ -217,7 +217,7 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
             f"(sum q/sqrt(pi) is {np.dot(q, spread) / base:.3e} times that of pi)"
         )
 
-    U = spectral_decompose(chain).eigenfunctions[:, 1:]
+    U = dec.eigenfunctions[:, 1:]
     w = ((q - pi) @ U) * np.power(lam, float(max(n0 - t, 0)))
     B = (pi_g * g) @ U
     rates = np.append(lam, 1.0)[None, :]
@@ -244,7 +244,7 @@ def exact_error(chain: ReversibleChain, nu, f, spec: EstimatorSpec) -> ExactErro
         correction=correction * s * s,
         correction_diagonal=corr_diag * s * s,
         correction_cross=corr_cross * s * s,
-        asymptotic_constant=asymptotic_constant(chain, f) * s * s,
+        asymptotic_constant=float(np.dot(a * a, (1.0 + lam) / (1.0 - lam))) * s * s,
     )
 
 

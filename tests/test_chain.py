@@ -1,6 +1,7 @@
 """Validation, stationary recovery and spectral decomposition tests."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,3 +372,28 @@ def test_chain_arrays_are_readonly(two_state):
         two_state.P[0, 0] = 0.5
     with pytest.raises(ValueError):
         two_state.pi[0] = 0.5
+
+
+def test_build_and_decompose_peak_at_three_dense_buffers():
+    # Beyond what it held before, each stage peaks at about 3 d x d float64
+    # buffers (tracemalloc: 3.16 and 3.07 at d = 512).  build_chain holds its
+    # copy of P, the flux and flux - flux^T, whose absolute value overwrites the
+    # flux; spectral_decompose holds A, eigh's V and U, made from V reversed.  A
+    # separate imbalance buffer, or a re-sorted copy of V, reads 4.1 instead.
+    d = 512
+    P = mc.birth_death_matrix(np.full(d - 1, 0.306), np.full(d - 1, 0.3))
+    w = np.cumprod(np.concatenate([[1.0], np.full(d - 1, 1.02)]))
+
+    def peak(call, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = call(*args)
+        return out, (tracemalloc.get_traced_memory()[1] - before) / (8.0 * d * d)
+
+    tracemalloc.start()
+    try:
+        chain, built = peak(mc.build_chain, P, w / w.sum())
+        _, decomposed = peak(mc.spectral_decompose, chain)
+    finally:
+        tracemalloc.stop()
+    assert built <= 1.1 * 3 and decomposed <= 1.1 * 3, (built, decomposed)

@@ -8,6 +8,8 @@ estimation window.  They are exact rationals, not outputs of the code under
 test.
 """
 
+import collections
+import importlib
 import math
 import types
 import warnings
@@ -360,15 +362,22 @@ def test_a_start_at_pi_carries_no_correction(n, n0):
     assert report.mse == report.stationary_mse
 
 
+def ring_proposal(rng):
+    """Uniform proposal on the 2 * width + 1 nearest positions of a ring of d
+    states, d in [3, 29] and width drawn from ``rng``."""
+    d = int(rng.integers(3, 30))
+    x = np.arange(d)
+    width = int(rng.integers(1, (d - 1) // 2 + 1))
+    return (np.abs((x[:, None] - x[None, :] + d // 2) % d - d // 2) <= width) / (2 * width + 1)
+
+
 def metropolis_rings(count, seed):
     """Seeded Metropolis rings with d in [3, 29], each built twice: with its
     pi supplied and with pi solved by build_chain; f is a random function."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        d = int(rng.integers(3, 30))
-        x = np.arange(d)
-        width = int(rng.integers(1, (d - 1) // 2 + 1))
-        ring = (np.abs((x[:, None] - x[None, :] + d // 2) % d - d // 2) <= width) / (2 * width + 1)
+        ring = ring_proposal(rng)
+        d = len(ring)
         pi = np.exp(rng.normal(0.0, rng.uniform(0.0, 3.0), d))
         chain, f = metropolis_chain(pi / pi.sum(), ring), rng.normal(size=d)
         yield chain, f
@@ -392,6 +401,71 @@ def test_a_start_at_chain_pi_carries_no_correction_on_any_route(suite):
             exact += 1
     assert len(cases) == 606 and exact >= 550  # 39 of the solved rings have a twin
     assert all(_with_balanced_pi(chain) is chain for chain in suite.values())
+
+
+def test_each_call_checks_and_expands_its_inputs_once(suite, monkeypatch):
+    # exact_error checks nu and f on the chain it decomposes (the balanced twin,
+    # where there is one) and expands g there: once itself, once inside
+    # stationary_error.  The bounds take C_density and C_pi from the gate's nu
+    # and the checked chain.pi, so nu is checked once and no mass floor again.
+    # Patched by module: the package's own attribute exact_error is the function.
+    calls = collections.Counter()
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for layer in ("chain", "exact_error", "bounds"):
+        module = importlib.import_module(f"mcmc_certify.{layer}")
+        for name in ("_inputs", "spectral_coefficients", "as_distribution", "_check_mass"):
+            if hasattr(module, name):
+                spy(module, name)
+    ring = next((chain, f) for chain, f in metropolis_rings(50, 30)
+                if _with_balanced_pi(chain) is not chain)
+    spec = mc.EstimatorSpec(n=40, n0=3)
+    for chain, f in [(chain, np.arange(float(chain.size))) for chain in suite.values()] + [ring]:
+        nu = np.full(chain.size, 1.0 / chain.size)
+        calls.clear()
+        mc.exact_error(chain, nu, f, spec)
+        assert (calls["_inputs"], calls["spectral_coefficients"]) == (2, 2)
+        for route in (mc.bound_general_start, mc.bound_theorem):
+            for kind in mc.NORM_KINDS:
+                calls.clear()
+                route(chain, nu, f, spec, kind)
+                assert (calls["as_distribution"], calls["_check_mass"]) == (1, 0)
+
+
+def solved_rings(count, seed):
+    """Seeded Metropolis rings with d in [3, 29] and log pi drawn with sigma 4,
+    built with pi solved by build_chain; f is uniform on [0, 1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ring = ring_proposal(rng)
+        d = len(ring)
+        pi = np.exp(rng.normal(0.0, 4.0, d))
+        yield mc.build_chain(metropolis_chain(pi / pi.sum(), ring).P), rng.uniform(size=d)
+
+
+@pytest.mark.xfail(strict=True, reason="known: with pi solved, exact_error works on the "
+                   "balanced twin's pi and the sharp bounds on chain.pi (ROADMAP item 2)")
+def test_the_tightest_sharp_bound_at_chain_pi_is_at_least_the_exact_mse():
+    # 264 of the 300 rings have a twin.  At nu = chain.pi the bounds carry no
+    # start correction, while exact_error's nu - pi is the difference of the
+    # two pis: the tightest bound is below the MSE on 130 rings, by up to
+    # 5.3e-11 relative.  One pi for every route makes this pass.
+    spec, below = mc.EstimatorSpec(n=200, n0=5), []
+    for i, (chain, f) in enumerate(solved_rings(300, 82)):
+        mse = mc.exact_error(chain, chain.pi, f, spec).mse
+        tightest = min(mc.bound_general_start(chain, chain.pi, f, spec, kind).total
+                       for kind in mc.NORM_KINDS)
+        if tightest < mse:
+            below.append((i, (mse - tightest) / mse))
+    assert not below, (len(below), max(r for _, r in below))
 
 
 def test_variance_on_a_graded_chain():
