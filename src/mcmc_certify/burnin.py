@@ -380,11 +380,11 @@ class FigureRow:
     value: float
 
 
-def _budget_grid(n_max: int, points: int = 41) -> list[int]:
+def _budget_grid(n_max: int) -> list[int]:
     lo = max(10, min(1000, n_max // 10))
     if lo >= n_max:
         return [n_max]
-    raw = np.logspace(math.log10(lo), math.log10(n_max), points)
+    raw = np.logspace(math.log10(lo), math.log10(n_max), 41)
     return sorted({int(round(x)) for x in raw if round(x) >= 2})
 
 

@@ -66,9 +66,10 @@ STAT_TOL = 1e-10
 # Spectral sanity: |lam[0] - 1| must stay below this, and beta must stay
 # below 1 - SPEC_TOL for the chain to count as ergodic.
 SPEC_TOL = 1e-8
-# Most states a chain may have.  build_chain and spectral_decompose each peak 3 d**2 doubles
-# above what they held; the CLI's `error --exact` peaked at 100 MB RSS at d = 1024 and 314 MB
-# at 2048 (29 MB + 71 bytes * d**2), so the cap costs about 1.2 GB and minutes of O(d**3).
+# Most states a chain may have.  build_chain peaks 3 d**2 doubles above what it held and
+# spectral_decompose 2; the CLI's `error --exact` peaked at 100 MB RSS at d = 1024 and 314 MB
+# at 2048 (29 MB + 71 bytes * d**2), reached while the chain file's parsed rows are held, so
+# the cap costs about 1.2 GB and minutes of O(d**3).
 _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300
@@ -320,10 +321,7 @@ def build_chain(P, pi=None) -> ReversibleChain:
     if pi is None:
         stationary = _solve_stationary(P)
     else:
-        stationary = as_distribution(pi)
-        if len(stationary) != len(P):
-            raise ValueError(f"stationary distribution has length {len(stationary)}, "
-                             f"chain has {len(P)} states")
+        stationary = _check_length(len(P), pi, "stationary distribution", as_distribution)
     _check_mass(stationary, "stationary distribution")
 
     flux = stationary[:, None] * P
@@ -370,12 +368,15 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
         return chain._decomposition
 
     root = np.sqrt(chain.pi)
-    A = (root[:, None] * chain.P) / root[None, :]
-    A = 0.5 * (A + A.T)  # kill the residual asymmetry before eigh
+    A = chain.P * root[:, None]  # in place from here: one d x d buffer, dropped after eigh
+    A /= root
+    A += A.T  # numpy copies the overlapping transpose before it adds
+    A *= 0.5  # kill the residual asymmetry before eigh
     try:
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to force
         raise SpectralFailure(f"symmetric eigensolver failed: {exc}") from exc
+    del A
     if not np.all(np.isfinite(lam)):
         raise SpectralFailure("eigensolver returned non-finite eigenvalues")
 
@@ -412,15 +413,11 @@ def spectral_decompose(chain: ReversibleChain) -> SpectralDecomposition:
     return dec
 
 
-def _check_length(
-    chain: ReversibleChain, values, what: str, coerce=as_state_function
-) -> np.ndarray:
-    """``coerce(values)`` as an array, checked to hold one entry per state."""
+def _check_length(d: int, values, what: str, coerce=as_state_function) -> np.ndarray:
+    """``coerce(values)`` as an array, checked to hold one entry for each of ``d`` states."""
     v = np.asarray(coerce(values))
-    if v.shape[0] != chain.size:
-        raise ValueError(
-            f"{what} has length {v.shape[0]}, chain has {chain.size} states"
-        )
+    if v.shape[0] != d:
+        raise ValueError(f"{what} has length {v.shape[0]}, chain has {d} states")
     return v
 
 

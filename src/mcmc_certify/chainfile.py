@@ -4,8 +4,9 @@ Schema: an object with a required ``"P"`` (list of rows) and optional
 ``"pi"``, ``"nu"``, ``"f"`` (vectors of matching length) and ``"labels"``
 (distinct state names).  Schema violations raise ValueError with the
 offending key; the matrix/vector contents are then validated by the chain
-constructors, which report row/column indices themselves.  A ``"P"`` with
-more rows than the chain size cap raises TooLarge before any array is built.
+constructors, which report row/column indices themselves.  The chain size
+cap is one of those checks: :func:`~mcmc_certify.chain.as_transition_matrix`
+makes it before any array is built.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _MAX_STATES, ReversibleChain, _check_length, as_distribution, build_chain
-from .errors import TooLarge
+from .chain import ReversibleChain, _check_length, as_distribution, build_chain
 
 __all__ = ["ChainInput", "load_chain_file"]
 
@@ -52,8 +52,6 @@ def load_chain_file(path) -> ChainInput:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
     if "P" not in doc:
         raise ValueError(f'{path}: missing required key "P"')
-    if isinstance(doc["P"], list) and len(doc["P"]) > _MAX_STATES:
-        raise TooLarge(f'{path}: "P" has {len(doc["P"])} rows, cap is {_MAX_STATES} states')
 
     chain = build_chain(doc["P"], doc.get("pi"))
     d = chain.size
@@ -71,10 +69,10 @@ def load_chain_file(path) -> ChainInput:
 
     nu = doc.get("nu")
     if nu is not None:
-        nu = _check_length(chain, nu, f'{path}: "nu"', as_distribution)
+        nu = _check_length(d, nu, f'{path}: "nu"', as_distribution)
 
     f = doc.get("f")
     if f is not None:
-        f = _check_length(chain, f, f'{path}: "f"')
+        f = _check_length(d, f, f'{path}: "f"')
 
     return ChainInput(chain=chain, nu=nu, f=f, labels=labels)

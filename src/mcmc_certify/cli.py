@@ -13,8 +13,9 @@ error (including a count -- window, burn-in, budget, exponent -- above
 2**53), 3 resource cap (``TooLarge``: a chain of more than 4096 states;
 ``BudgetOverflow``: a simulated replication longer than 2**27 steps, more
 than 2**27 replications, an exact error whose start stays trapped, an exact
-error that overflows float64, or a simulated MSE that overflows float64),
-4 I/O error.
+error that overflows float64, or a simulated MSE that overflows float64;
+``MemoryError``: an allocation the machine refused, as one stderr line and
+no traceback), 4 I/O error.
 Machine output: ``--json`` dumps a schema-stable JSON document (non-finite
 floats as ``null``); CSV files use shortest-round-trip float formatting, so
 they are bit-stable across platforms.
@@ -455,7 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetOverflow, TooLarge) as exc:
+    except (BudgetOverflow, TooLarge, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ChainError as exc:

@@ -70,9 +70,9 @@ class BudgetOverflow(ChainError):
 class TooLarge(ChainError):
     """An input exceeds a hard size cap.
 
-    Raised by :func:`~mcmc_certify.chain.as_transition_matrix` (and so by
-    :func:`~mcmc_certify.chain.build_chain`) and by
-    :func:`~mcmc_certify.chainfile.load_chain_file` for a chain of more than
+    Raised by :func:`~mcmc_certify.chain.as_transition_matrix` alone, and so
+    by :func:`~mcmc_certify.chain.build_chain` and
+    :func:`~mcmc_certify.chainfile.load_chain_file`, for a chain of more than
     4096 states, before the dense matrix is built.
     """
 

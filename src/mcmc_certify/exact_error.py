@@ -137,8 +137,8 @@ def _inputs(chain: ReversibleChain, f, *start):
         nu, spec = start
         if not isinstance(spec, EstimatorSpec):
             raise ValueError("spec must be an EstimatorSpec")
-        nu = _check_length(chain, nu, "start distribution", as_distribution)
-    f, s = _scaled(_check_length(chain, f, "function"))
+        nu = _check_length(chain.size, nu, "start distribution", as_distribution)
+    f, s = _scaled(_check_length(chain.size, f, "function"))
     return nu, f, s, _centred(f, chain.pi)
 
 

@@ -234,16 +234,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _positioned(seed: int, offset: int) -> np.random.Generator:
-    """The seed's generator, positioned so that its next uniform is number ``offset``."""
-    bit_generator = np.random.Philox(key=seed)
-    bit_generator.advance(offset // 4)  # one counter step yields four uniforms
-    generator = np.random.Generator(bit_generator)
-    generator.random(offset % 4)
-    return generator
+def _positioned(seed: int, offset: int) -> np.random.Philox:
+    """The seed's Philox, positioned so that its next raw output is number ``offset``."""
+    philox = np.random.Philox(key=seed)
+    philox.advance(offset // 4)  # one counter step yields four outputs
+    philox.random_raw(offset % 4)
+    return philox
 
 
-def _draw(generator, columns) -> None:
+def _draw(philox, columns) -> None:
     # Integer uniforms j = raw >> 11, drawn row-major up to ``_STAGE_ELEMS``
     # at a time (whole replications, or one in segments) and each piece
     # transposed into place, so the draws follow the chunk's rows.
@@ -253,12 +252,12 @@ def _draw(generator, columns) -> None:
     for r in range(0, count, rows):
         m = min(rows, count - r)
         for t in range(0, length, segment):
-            piece = generator.bit_generator.random_raw(m * min(segment, length - t))
+            piece = philox.random_raw(m * min(segment, length - t))
             piece = piece.reshape(m, -1).T
             np.right_shift(piece, 64 - _UNIFORM_BITS, out=columns[t : t + len(piece), r : r + m])
 
 
-def _chunk_sums(generator, buffer, table, n0, sums, failed) -> None:
+def _chunk_sums(philox, buffer, table, n0, sums, failed) -> None:
     """Window sums of one chunk of replications, written into ``sums``.
 
     ``buffer`` holds a batch of whole replications as integer uniforms,
@@ -274,7 +273,7 @@ def _chunk_sums(generator, buffer, table, n0, sums, failed) -> None:
         out = sums[lo : lo + batch]
         count = out.size
         j = buffer[:-4, :count]
-        _draw(generator, j)
+        _draw(philox, j)
         cur, pos, scratch, hit = buffer[-4:, :count]
         value, hit = scratch.view(np.float64), hit.view(bool)[:count]
         cur.fill(table.row_keys[-1])

@@ -142,7 +142,7 @@ def apply_to_function(chain, f, k: int) -> np.ndarray:
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"power k must be a nonnegative integer, got {k!r}")
-    v = _check_length(chain, f, "function")
+    v = _check_length(chain.size, f, "function")
     for _ in range(int(k)):
         v = chain.P @ v
     return v
@@ -206,7 +206,7 @@ def operator_norm_on_mean_zero(chain, n: int, p) -> float:
 
 def apply_to_distribution(chain, nu, k: int) -> np.ndarray:
     """Return ``nu P^k`` as a valid distribution (renormalized against drift)."""
-    w = _check_length(chain, nu, "distribution", mc.as_distribution)
+    w = _check_length(chain.size, nu, "distribution", mc.as_distribution)
     for _ in range(k):
         w = w @ chain.P
     return w / w.sum()
@@ -262,7 +262,7 @@ def l_functional(chain, nu, k: int, h) -> float:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"functional index k must be >= 1, got {k!r}")
-    h = _check_length(chain, h, "function")
+    h = _check_length(chain.size, h, "function")
     dev = deviation_function(chain, nu, k)
     return weighted_inner(dev.values, h, chain.pi)
 
@@ -293,8 +293,8 @@ def path_enumeration_oracle(chain, nu, f, spec) -> float:
     the analytic routes are tested against.  Raises :class:`TooLarge` beyond
     10^7 paths.
     """
-    nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
-    f = _check_length(chain, f, "function")
+    nu = _check_length(chain.size, nu, "start distribution", mc.as_distribution)
+    f = _check_length(chain.size, f, "function")
     n, n0 = int(spec.n), int(spec.n0)
     d = chain.size
     length = n + n0
@@ -352,7 +352,7 @@ def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
-    nu = _check_length(chain, nu, "start distribution", mc.as_distribution)
+    nu = _check_length(chain.size, nu, "start distribution", mc.as_distribution)
     u = rng_stream.random(int(length))
     row_cdf = saturated_cdf(chain.P)
     states = np.zeros(int(length), dtype=np.intp)

@@ -375,11 +375,13 @@ def test_chain_arrays_are_readonly(two_state):
 
 
 def test_build_and_decompose_peak_at_three_dense_buffers():
-    # Beyond what it held before, each stage peaks at about 3 d x d float64
-    # buffers (tracemalloc: 3.16 and 3.07 at d = 512).  build_chain holds its
-    # copy of P, the flux and flux - flux^T, whose absolute value overwrites the
-    # flux; spectral_decompose holds A, eigh's V and U, made from V reversed.  A
-    # separate imbalance buffer, or a re-sorted copy of V, reads 4.1 instead.
+    # Beyond what it held before, build_chain peaks at about 3 d x d float64
+    # buffers and spectral_decompose at about 2 (tracemalloc: 3.16 and 2.07 at
+    # d = 512).  build_chain holds its copy of P, the flux and flux - flux^T,
+    # whose absolute value overwrites the flux; a separate imbalance buffer reads
+    # 4.1.  spectral_decompose builds A in one buffer and drops it after eigh,
+    # which leaves V and U, made from V reversed: a second A, or a re-sorted
+    # copy of V, reads 3.1 or more.
     d = 512
     P = mc.birth_death_matrix(np.full(d - 1, 0.306), np.full(d - 1, 0.3))
     w = np.cumprod(np.concatenate([[1.0], np.full(d - 1, 1.02)]))
@@ -396,4 +398,5 @@ def test_build_and_decompose_peak_at_three_dense_buffers():
         _, decomposed = peak(mc.spectral_decompose, chain)
     finally:
         tracemalloc.stop()
-    assert built <= 1.1 * 3 and decomposed <= 1.1 * 3, (built, decomposed)
+    assert built <= 1.1 * 3, built
+    assert decomposed <= 1.1 * 2, decomposed

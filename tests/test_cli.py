@@ -271,6 +271,20 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_exit_code_memory_error(capsys, chain_file, monkeypatch):
+    # An allocation the machine refuses is a resource cap: one line, no traceback.
+    def refused(*args):
+        raise MemoryError("Unable to allocate 32.0 MiB for an array with shape (2048, 2048)")
+
+    monkeypatch.setattr(cli, "exact_error", refused)
+    assert cli.main(["error", chain_file, "10", "2", "--exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: MemoryError: Unable to allocate 32.0 MiB for an array with shape (2048, 2048)"
+    ]
+
+
 def test_exit_code_simulation_seed_beyond_philox(capsys, chain_file):
     argv = ["error", chain_file, "4", "2", "--simulate", "100", str(2**128), "--json"]
     assert cli.main(argv) == 2

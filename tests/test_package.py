@@ -290,10 +290,14 @@ _STARTED = list(_ROUTES)[:-2]
           for route in _ROUTES],
         *[pytest.param(route, [1.0, 0.0, 0.0], [0.0, 1.0], "start distribution", id=f"{route}-nu")
           for route in _STARTED],
+        # build_chain's pi, passed as nu
+        pytest.param("build_chain", [0.5, 0.25, 0.25], None, "stationary distribution",
+                     id="build_chain-pi"),
     ],
 )
 def test_every_route_refuses_a_wrong_length_in_the_same_words(route, nu, f, message):
+    routes = {**_ROUTES, "build_chain": lambda nu, f: mc.build_chain(_FAIR.P, nu)}
     with pytest.raises(ValueError) as refused:
-        _ROUTES[route](nu, f)
+        routes[route](nu, f)
     assert type(refused.value) is ValueError
     assert str(refused.value) == f"{message} has length 3, chain has 2 states"

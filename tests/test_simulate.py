@@ -286,10 +286,11 @@ def test_positioned_generator_continues_the_stream(offset):
         counter = np.array([offset // 4, 0, 0, 0], dtype=np.uint64)
         reference = np.random.Generator(np.random.Philox(key=seed, counter=counter))
         expected = reference.random(offset % 4 + 9)[offset % 4 :]
-    assert np.array_equal(simulate._positioned(seed, offset).random(9), expected)
     # The simulation reads each uniform as its integer j = raw >> 11.
-    raw = simulate._positioned(seed, offset).bit_generator.random_raw(9)
+    raw = simulate._positioned(seed, offset).random_raw(9)
     assert np.array_equal((raw >> 11) * 2.0**-53, expected)
+    doubles = np.random.Generator(simulate._positioned(seed, offset)).random(9)
+    assert np.array_equal(doubles, expected)
 
 
 def test_worker_exception_propagates_and_no_thread_outlives_the_call(two_state, monkeypatch):
