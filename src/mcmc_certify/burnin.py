@@ -19,13 +19,15 @@ float64 settles it away from integer ratios, integer arithmetic near them),
 the *optimized* integer argmin over all feasible splits (the full scan's
 while rounding ties fit its window, see ``optimize_burnin``), and the
 estimate-free *half budget* rule ``n0 = N//2`` whose asymptotic price is a
-factor sqrt(2).  Both squared bounds are convex in ``n0`` for fixed ``N``, so
-the optimized split sits beside the continuous bound's stationary point,
-which a few Newton steps on one scalar equation find in O(1); an exact pass
-over the 257 splits around it settles the integer argmin, on one scratch
-array beside the result.  The Newton steps and single-split bounds run on
-Python floats, where numpy would pay its per-call overhead on 1-element
-arrays.
+factor sqrt(2).  ``beta = 0`` stands for ``POWER_FLOOR``, the floor under
+every ``beta^n0``, and takes no branch of its own: its suggestion is 1 for
+``C > 1`` and 0 otherwise, as the definition gives.  Both squared bounds are
+convex in ``n0`` for fixed ``N``, so the optimized split sits beside the
+continuous bound's stationary point, which a few Newton steps on one scalar
+equation find in O(1); an exact pass over the 257 splits around it settles
+the integer argmin, on one scratch array beside the result.  The Newton
+steps and single-split bounds run on Python floats, where numpy would pay
+its per-call overhead on 1-element arrays.
 
 ``BudgetQuery`` is the one input gate: it checks ``N``, ``beta`` and ``C``
 (type included), so the planners check only ``kind`` and evaluate bounds
@@ -199,11 +201,17 @@ def suggested_burnin(beta: float, C: float) -> int:
 
 
 def _suggested_n0(beta: float, C: float) -> int:
-    """``suggested_burnin`` on checked arguments."""
-    ratio = math.log(C) / -math.log(beta)
+    """``suggested_burnin`` on checked arguments, ``beta = 0`` included."""
+    ratio = math.log(C) / -_log_beta(beta)
     if abs(ratio - round(ratio)) > _CEIL_MARGIN * abs(ratio):
         return max(math.ceil(ratio), 0)
-    return _suggestion(beta, C).n0
+    return _suggestion(beta or POWER_FLOOR, C).n0
+
+
+def _log_beta(beta: float) -> float:
+    """``log beta``, reading ``beta = 0`` as ``POWER_FLOOR``; the floored
+    ``n0 log beta`` is then -0.0 at ``n0 = 0`` and ``_LOG_FLOOR`` beyond."""
+    return math.log(beta or POWER_FLOOR)
 
 
 def _log_k(beta: float, kind: str) -> float:
@@ -223,11 +231,8 @@ def _squared_bounds(
     ``beta^n0`` on its floor and ``exp`` taken as ``inf`` past
     ``_EXP_OVERFLOW``: computed in place on the result and one scratch array.
     """
-    if beta > 0.0:
-        out = np.multiply(n0, math.log(beta))
-        np.maximum(out, _LOG_FLOOR, out=out)
-    else:
-        out = np.where(n0 == 0, 0.0, _LOG_FLOOR)
+    out = np.multiply(n0, _log_beta(beta))
+    np.maximum(out, _LOG_FLOOR, out=out)
     out += math.log(C)
     out += _log_k(beta, kind)
     scratch = np.log(n)
@@ -248,10 +253,7 @@ def _bound(beta: float, C: float, n: int, n0: int, kind: str) -> float:
     steps on Python floats.  log n and exp stay numpy's, as libm's can
     differ by an ulp; the other steps round alike in both."""
     n = float(n)
-    if beta > 0.0:
-        damp = max(n0 * math.log(beta), _LOG_FLOOR)
-    else:
-        damp = 0.0 if n0 == 0 else _LOG_FLOOR
+    damp = max(n0 * _log_beta(beta), _LOG_FLOOR)
     log_corr = math.log(C) + damp + _log_k(beta, kind) - 2 * float(np.log(n))
     corr = math.inf if log_corr > _EXP_OVERFLOW else float(np.exp(log_corr))
     return math.sqrt(2.0 / (n * (1.0 - beta)) + corr)
@@ -288,7 +290,7 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
     ``1/lb`` splits short).  ``n0* = N - (u+2)/lb``
     is clamped to ``[0, N-1]`` and to the floor's reach
     ``log(POWER_FLOOR)/log beta``, past which the bound only grows
-    (``n0* = 0`` for ``beta = 0``).  The squared bounds are then evaluated
+    (one split for ``beta = 0``).  The squared bounds are then evaluated
     on the ``2 _HALF_WINDOW + 1`` splits nearest ``n0*`` inside ``[0, N-1]``.
     Rounding lets splits near the minimum tie with it, over a band that
     widens like ``sqrt(n / |log beta|)``; while the window holds that band,
@@ -307,20 +309,17 @@ def optimize_burnin(query: BudgetQuery, kind: str) -> BurninPlan:
 
 def _optimal_split(N: int, beta: float, C: float, kind: str) -> tuple[int, float]:
     """``optimize_burnin``'s ``(n0, bound_value)`` on checked arguments."""
-    center = 0
-    if beta > 0.0:
-        lb = -math.log(beta)
-        a = math.log(C) + _log_k(beta, kind) + math.log(1.0 - beta) - _LOG2
-        q = N * lb - a - 2.0 - math.log(lb)
-        u = max(q, 1.0) if q > 0.0 else math.exp(q)
-        while True:
-            residual = q - u - math.log(u / (u + 2.0))
-            w = u * (u + 2.0)
-            last, u = u, u + residual * w / (w + 2.0)
-            if residual < lb or u == last:
-                break
-        n0 = min(max(N - (u + 2.0) / lb, 0.0), N - 1, -_LOG_FLOOR / lb)
-        center = round(n0)
+    lb = -_log_beta(beta)
+    a = math.log(C) + _log_k(beta, kind) + math.log(1.0 - beta) - _LOG2
+    q = N * lb - a - 2.0 - math.log(lb)
+    u = max(q, 1.0) if q > 0.0 else math.exp(q)
+    while True:
+        residual = q - u - math.log(u / (u + 2.0))
+        w = u * (u + 2.0)
+        last, u = u, u + residual * w / (w + 2.0)
+        if residual < lb or u == last:
+            break
+    center = round(min(max(N - (u + 2.0) / lb, 0.0), N - 1, -_LOG_FLOOR / lb))
     lo = max(0, min(center - _HALF_WINDOW, N - 1 - 2 * _HALF_WINDOW))
     n0s = np.arange(lo, min(lo + 2 * _HALF_WINDOW, N - 1) + 1, dtype=np.int64)
     sq = _squared_bounds((N - n0s).astype(np.float64), n0s, beta, C, kind)
@@ -329,9 +328,10 @@ def _optimal_split(N: int, beta: float, C: float, kind: str) -> tuple[int, float
 
 
 def suggested_plan(query: BudgetQuery, kind: str) -> BurninPlan:
-    """Plan using the closed-form suggestion; rejects an all-burn-in split."""
+    """Plan using the closed-form suggestion; rejects an all-burn-in split.
+    At ``beta = 0`` it takes ``n0 = 1`` for ``C > 1`` and 0 otherwise."""
     kind = _check_name(kind, BOUND_KINDS, "kind")
-    n0 = _suggested_n0(query.beta, query.C) if query.beta > 0.0 else 0
+    n0 = _suggested_n0(query.beta, query.C)
     if n0 >= query.N:
         raise ValueError(
             f"suggested burn-in {n0} consumes the whole budget N={query.N}; "
@@ -405,8 +405,7 @@ def figure_series(query: BudgetQuery, n0_choices, kind: str) -> list[FigureRow]:
     for c in n0_choices:
         c = _check_count(c, 0, "each burn-in choice")
         fixed.append((c, f"{kind}[n0={c}]"))
-    suggested = _suggested_n0(beta, C) if beta > 0.0 else 0
-    fixed.append((suggested, f"{kind}[suggested]"))
+    fixed.append((_suggested_n0(beta, C), f"{kind}[suggested]"))
 
     rows: list[FigureRow] = []
     for N in _budget_grid(query.N):

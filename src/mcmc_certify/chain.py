@@ -67,9 +67,9 @@ STAT_TOL = 1e-10
 # below 1 - SPEC_TOL for the chain to count as ergodic.
 SPEC_TOL = 1e-8
 # Most states a chain may have.  build_chain peaks 3 d**2 doubles above what it held and
-# spectral_decompose 2; the CLI's `error --exact` peaked at 100 MB RSS at d = 1024 and 314 MB
-# at 2048 (29 MB + 71 bytes * d**2), reached while the chain file's parsed rows are held, so
-# the cap costs about 1.2 GB and minutes of O(d**3).
+# spectral_decompose 2; the CLI's `error --exact` peaked at 84 MB RSS at d = 1024 and 240 MB
+# at 2048 (32 MB + 52 bytes * d**2), about as high while the chain file is parsed as while P is
+# decomposed, so the cap costs about 0.9 GB and minutes of O(d**3).
 _MAX_STATES = 4096
 # Stationary or reference mass below this makes density ratios meaningless.
 _MASS_FLOOR = 1e-300

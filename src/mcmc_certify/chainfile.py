@@ -39,10 +39,9 @@ def load_chain_file(path) -> ChainInput:
     OS-level read failures propagate as OSError; everything else (malformed
     JSON, schema problems, invalid chain data) is a validation error.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -50,10 +49,11 @@ def load_chain_file(path) -> ChainInput:
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    if "P" not in doc:
-        raise ValueError(f'{path}: missing required key "P"')
+    if not isinstance(doc.get("P"), list):
+        raise ValueError(f'{path}: required key "P" must be a list of rows')
 
-    chain = build_chain(doc["P"], doc.get("pi"))
+    # Popped, so the parsed rows are freed once build_chain holds its array.
+    chain = build_chain(doc.pop("P"), doc.get("pi"))
     d = chain.size
 
     labels = doc.get("labels")

@@ -570,6 +570,7 @@ def test_optimize_bit_identical_to_bound_function():
     """Every planner's bound_value is bound_function's at its split, bit for bit."""
     rng = np.random.default_rng(20261020)
     queries = [mc.BudgetQuery(N=10_000, beta=0.99, C=1e30), mc.BudgetQuery(N=50, beta=0.0, C=1e30)]
+    queries += [mc.BudgetQuery(N=N, beta=5e-324, C=C) for N in (2, 50, 2**53) for C in (0.5, 1.0, 1e30)]
     for _ in range(200):
         N = int(min(2.0**53, 10.0 ** rng.uniform(0.31, 16.0)))
         beta = float(1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
@@ -839,8 +840,30 @@ def test_suggested_plan_infeasible_budget():
 
 
 def test_suggested_plan_zero_beta():
-    plan = mc.suggested_plan(mc.BudgetQuery(N=50, beta=0.0, C=1e30), "b4")
-    assert plan.n0 == 0 and plan.n == 50
+    """The smallest n0 with C 0^n0 <= 1: 1 for C > 1, and 0 for C <= 1."""
+    for C, n0 in ((1e30, 1), (0.5, 0), (1.0, 0)):
+        plan = mc.suggested_plan(mc.BudgetQuery(N=50, beta=0.0, C=C), "b4")
+        assert (plan.n0, plan.n) == (n0, 50 - n0), C
+
+
+@given(
+    N=st.integers(min_value=2, max_value=2**53),
+    log10_C=st.floats(min_value=-5.0, max_value=308.0),
+)
+@example(N=2, log10_C=0.0)
+@example(N=100, log10_C=1.0)
+@settings(max_examples=200)
+def test_zero_beta_suggestion_follows_its_definition(N, log10_C):
+    """At beta = 0 the suggestion is 1 for C > 1 and 0 otherwise, in the
+    plan and the figure's suggested curve, and no better than optimize's."""
+    query = mc.BudgetQuery(N=N, beta=0.0, C=10.0**log10_C)
+    expected = 1 if query.C > 1.0 else 0
+    for kind in mc.BOUND_KINDS:
+        plan = mc.suggested_plan(query, kind)
+        assert plan.n0 == expected, (query, kind)
+        assert plan.bound_value >= mc.optimize_burnin(query, kind).bound_value, (query, kind)
+    rows = mc.figure_series(mc.BudgetQuery(N=min(N, 1000), beta=0.0, C=query.C), (), "b4")
+    assert {r.n0 for r in rows if r.kind == "b4[suggested]"} == {expected}
 
 
 def test_half_budget_penalty_converges_to_sqrt2():
@@ -915,7 +938,7 @@ def test_figure_series_rejects_bad_choices():
 # refuses the query), then suggested_burnin_detail's (n0, ratio, borderline)
 # where beta > 0.  The planners keep their bits, as GOLDEN_SIMULATION pins
 # the simulation's.
-GOLDEN_PLANS = "3de94ad92aa85c9fc1384ff117857b406f0598f22c3c5b5bb4393dd5021e5d76"
+GOLDEN_PLANS = "c3a843545a28a0abc09640b0120d382effc89778ecf4ca5c6e9b46a1601df48c"
 
 
 def test_planners_keep_their_bits():

@@ -225,6 +225,18 @@ def test_burnin_budget_above_2_pow_53_exits_2(package_env):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("C, n0", [("10", 1), ("0.5", 0)])
+def test_burnin_zero_beta_suggests_the_smallest_sufficient_burnin(capsys, C, n0):
+    """The smallest n0 with C 0^n0 <= 1, which is optimize's split; the
+    borderline flag stays unset, as suggested_burnin_detail refuses beta = 0."""
+    argv = ["burnin", "--beta", "0", "--C", C, "--N", "100", "--json"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert (doc["n0"], doc["borderline"]) == (n0, None)
+    _, opt = run_json(capsys, argv + ["--strategy", "optimize"])
+    assert (doc["n0"], doc["bound_value"]) == (opt["n0"], opt["bound_value"])
+
+
 def test_burnin_infeasible_suggestion_exits_2(capsys):
     code = cli.main(["burnin", "--beta", "0.999", "--C", "1e30", "--N", "100", "--json"])
     assert code == 2
@@ -269,6 +281,15 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     path.write_text(json.dumps({"P": [[1.0]] * (_MAX_STATES + 1)}))
     assert cli.main(["analyze", str(path), "--json"]) == 3
     assert "TooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [50, 5000])
+def test_exit_code_matrix_not_a_list(capsys, tmp_path, length):
+    # A string is refused by its key, also one longer than the state cap.
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps({"P": "x" * length}))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f'error: {path}: required key "P" must be a list of rows\n'
 
 
 def test_exit_code_memory_error(capsys, chain_file, monkeypatch):
