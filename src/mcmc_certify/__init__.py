@@ -3,7 +3,7 @@
 Workflow: build a validated reversible chain, decompose its spectrum, then
 either compute the exact mean-square error of a burn-in time average, certify
 it from above with closed-form bounds, plan the burn-in under a fixed budget,
-or cross-check it by naive summation and by simulation.
+or cross-check it by powers of the tilted kernel and by simulation.
 
 The public API is the union of the ``__all__`` lists of the submodules
 imported below; ``cli`` is not re-exported.

@@ -6,7 +6,9 @@ Schema: an object with a required ``"P"`` (list of rows) and optional
 offending key; the matrix/vector contents are then validated by the chain
 constructors, which report row/column indices themselves.  The chain size
 cap is one of those checks: :func:`~mcmc_certify.chain.as_transition_matrix`
-makes it before any array is built.
+makes it before any array is built.  The chain comes back with pi re-derived by
+detailed balance (``_with_balanced_pi``), so every verb reports on the one chain
+that :func:`~mcmc_certify.exact_error.exact_error` works on, and decomposes it once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ReversibleChain, _check_length, as_distribution, build_chain
+from .chain import ReversibleChain, _check_length, _with_balanced_pi, as_distribution, build_chain
 
 __all__ = ["ChainInput", "load_chain_file"]
 
@@ -53,7 +55,7 @@ def load_chain_file(path) -> ChainInput:
         raise ValueError(f'{path}: required key "P" must be a list of rows')
 
     # Popped, so the parsed rows are freed once build_chain holds its array.
-    chain = build_chain(doc.pop("P"), doc.get("pi"))
+    chain = _with_balanced_pi(build_chain(doc.pop("P"), doc.get("pi")))
     d = chain.size
 
     labels = doc.get("labels")

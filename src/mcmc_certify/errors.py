@@ -59,11 +59,9 @@ class BudgetOverflow(ChainError):
     replication would take more than 2**27 uniforms (a column buffer holds
     at least one whole replication), when more than 2**27 replications are
     asked for (one double each) or for a simulated MSE that overflows
-    float64, by :func:`~mcmc_certify.exact_error.exact_error_naive` when its
-    walk would take more than 2**27 steps, and by
-    :func:`~mcmc_certify.exact_error.exact_error` when the start is still
-    concentrated on states of small pi after 4096 exact steps or when the
-    MSE overflows float64.
+    float64, and by :func:`~mcmc_certify.exact_error.exact_error` when the
+    start is still concentrated on states of small pi after 4096 exact steps
+    or when the MSE overflows float64.
     """
 
 

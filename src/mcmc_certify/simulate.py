@@ -46,7 +46,7 @@ import numpy as np
 
 from .chain import ReversibleChain
 from .errors import BudgetOverflow, _check_int, _shown
-from .exact_error import _WALK_CAP, EstimatorSpec, _inputs
+from .exact_error import EstimatorSpec, _inputs
 
 __all__ = ["SimulationConfig", "EmpiricalErrorReport", "estimate_error"]
 
@@ -69,9 +69,9 @@ _TABLE_BYTES = 1 << 21
 # 1-3% slower at 6144 (winning 0 to 2 of 10 pairs), and 17-19% faster in all
 # 30 pairs at 8192 and at 16384.
 _MIN_ROWS = 8192
-# Most replications (one double of sums each): 1 GiB of doubles.  The longest
-# replication is exact_error's _WALK_CAP (a column buffer holds one).
-_REPLICATION_CAP = 1 << 27
+# Most replications (one double of sums each): 1 GiB of doubles.  Longest
+# replication, in uniforms: a column buffer holds one.
+_REPLICATION_CAP = _WALK_CAP = 1 << 27
 
 
 @dataclass(frozen=True)

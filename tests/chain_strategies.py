@@ -4,12 +4,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
 import mcmc_certify as mc
 from mcmc_certify.chain import _check_length, _check_mass
 from mcmc_certify.errors import TooLarge
+from mcmc_certify.exact_error import _power, _second_moment
 
 # Hard cap on path enumeration: d ** (n + n0) many paths.
 _ENUMERATION_CAP = 10**7
@@ -360,3 +362,27 @@ def sample_trajectory(chain, nu, length: int, rng_stream) -> np.ndarray:
     for t in range(1, int(length)):
         states[t : t + 1] = step_oracle(u[t : t + 1], row_cdf[states[t - 1]])
     return states
+
+
+def reference_mse(P, nu, f, spec):
+    """The MSE of ``P`` itself at 50 digits, at any window: the tilted-kernel
+    second moment of the library's ``_second_moment``, on mpmath object arrays.
+
+    The rows are renormalised and pi solved (``pi P = pi``, sum 1, by LU) at 50
+    digits, so the float rows' rounding (``uniform_three``'s sum to 1 - 5.6e-17)
+    does not leak in.  pi only centres f, and is the start where ``nu`` is None.
+    Uses no eigenpair and no reversibility.  Returns an ``mpmath.mpf``.
+    """
+    with mpmath.workdps(50):
+        mpf = np.vectorize(mpmath.mpf, otypes=[object])
+        P = mpf(np.asarray(P, dtype=np.float64))
+        P = P / P.sum(axis=1)[:, None]
+        d = P.shape[0]
+        A = mpmath.matrix((P.T - np.eye(d)).tolist())
+        A[d - 1, :] = mpmath.matrix([[1] * d])
+        pi = mpmath.lu_solve(A, mpmath.matrix([0] * (d - 1) + [1]))
+        pi = np.array([pi[x] for x in range(d)], dtype=object)
+        f = mpf(np.asarray(f, dtype=np.float64))
+        q = pi if nu is None else mpf(np.asarray(nu, dtype=np.float64))
+        q = _power([q], [P], spec.n0)[0]
+        return _second_moment(P, q, f - (pi * f).sum(), spec.n) / mpmath.mpf(spec.n) ** 2

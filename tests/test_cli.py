@@ -371,6 +371,37 @@ def test_simulated_error_of_a_huge_function_is_a_budget_overflow(capsys, tmp_pat
     assert line.startswith("error: BudgetOverflow: the simulated MSE overflows float64"), line
 
 
+# pi_min 3.3e-10: the least-squares pi is 5.4e-4 off there, and more than
+# 1e-12 off the pi that detailed balance gives, which is the second file's.
+_TINY_PI = {"P": [[0.999999999818, 1.82e-10], [0.548, 0.452]], "nu": [0.0, 1.0], "f": [0.0, 1.0]}
+_BALANCED_PI = [0.9999999996678832, 3.321167882108663e-10]
+
+
+def _tiny_pi_files(tmp_path):
+    solved, balanced = tmp_path / "solved.json", tmp_path / "balanced.json"
+    solved.write_text(json.dumps(_TINY_PI))
+    balanced.write_text(json.dumps({**_TINY_PI, "pi": _BALANCED_PI}))
+    return str(solved), str(balanced)
+
+
+def test_a_chain_file_without_pi_reports_on_its_balanced_chain(capsys, tmp_path):
+    # Bounds and exact error come from one chain: every sharp bound is at least
+    # the exact MSE (the unbalanced pi put 8.789884e-13 under 8.789885e-13).
+    solved, balanced = _tiny_pi_files(tmp_path)
+    argv = ["1000", "100", "--exact", "--json"]
+    _, doc = run_json(capsys, ["error", solved, *argv])
+    assert all(b["general"]["total"] >= doc["exact"]["mse"] for b in doc["bounds"].values())
+    assert run_json(capsys, ["error", balanced, *argv])[1] == doc
+
+
+def test_a_chain_file_is_decomposed_once(capsys, tmp_path, monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    solved, _ = _tiny_pi_files(tmp_path)
+    assert cli.main(["error", solved, "1000", "100", "--exact", "--json"]) == 0
+    assert calls == [(2, 2)]
+
+
 def test_exit_code_trapped_start(capsys, tmp_path):
     # The start holds pi = 1e-30 and keeps the chain for 1e6 steps on
     # average; a window past the 4096 exact steps is refused.

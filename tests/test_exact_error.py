@@ -11,7 +11,7 @@ test.
 import collections
 import importlib
 import math
-import types
+import tracemalloc
 import warnings
 
 import mpmath
@@ -28,6 +28,7 @@ from chain_strategies import (
     forward_exact_mse,
     mean_value,
     path_enumeration_oracle,
+    reference_mse,
     reversible_chains,
     standard_starts,
     state_functions,
@@ -598,6 +599,91 @@ def test_exact_error_long_window(two_state):
 
 
 # ---------------------------------------------------------------------------
+# The eigen-free route: the tilted kernel, in float64 and at 50 digits
+# ---------------------------------------------------------------------------
+
+# (n, n0) from the shortest window to the longest count, past any walk.
+_REFERENCE_WINDOWS = [(2, 5), (1000, 2**40), (2**53, 0)]
+
+
+@pytest.mark.parametrize("start", ["delta0", "pi"])
+@pytest.mark.parametrize("name", list(mc.validation_suite()))
+def test_exact_error_matches_the_50_digit_tilted_kernel(suite, name, start):
+    chain = suite[name]
+    f = np.arange(float(chain.size))
+    nu = np.eye(chain.size)[0] if start == "delta0" else None
+    for n, n0 in _REFERENCE_WINDOWS:
+        spec = mc.EstimatorSpec(n=n, n0=n0)
+        truth = reference_mse(chain.P, nu, f, spec)
+        exact = mc.exact_error(chain, chain.pi if nu is None else nu, f, spec).mse
+        assert abs(exact / truth - 1) <= 1e-12, (n, n0, exact, truth)
+
+
+def test_the_tilted_kernel_takes_no_eigenpair(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("eigenpair taken")
+
+    for module in (mc.chain, importlib.import_module("mcmc_certify.exact_error")):
+        monkeypatch.setattr(module, "spectral_decompose", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    chain = mc.build_chain(mc.birth_death_matrix([0.3, 0.2], [0.25, 0.35]))
+    spec = mc.EstimatorSpec(n=1000, n0=9)
+    naive = mc.exact_error_naive(chain, [1.0, 0.0, 0.0], [0.0, 1.0, 3.0], spec)
+    reference = reference_mse(chain.P, [1.0, 0.0, 0.0], [0.0, 1.0, 3.0], spec)
+    assert abs(naive / reference - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n, n0", [(10**4, 7), (50, 2**40)])
+def test_naive_route_matches_exact_error_beyond_the_old_caps(suite, n, n0):
+    # A window past 50 and a burn-in past 2**27 steps: the route has no cap.
+    chain, spec = suite["birth_death_ten"], mc.EstimatorSpec(n=n, n0=n0)
+    nu, f = np.eye(10)[0], np.arange(10.0)
+    exact = mc.exact_error(chain, nu, f, spec).mse
+    assert abs(mc.exact_error_naive(chain, nu, f, spec) / exact - 1) <= 1e-10
+
+
+def test_naive_route_peaks_at_five_dense_buffers():
+    # Three blocks of the power of T, the block being built and one product:
+    # 5.02 d**2 doubles at d = 512.
+    d = 512
+    P = mc.birth_death_matrix(np.full(d - 1, 0.306), np.full(d - 1, 0.3))
+    w = np.cumprod(np.concatenate([[1.0], np.full(d - 1, 1.02)]))
+    chain = mc.build_chain(P, w / w.sum())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mc.exact_error_naive(chain, np.eye(d)[0], np.arange(d) / d, mc.EstimatorSpec(n=5, n0=3))
+        peak = (tracemalloc.get_traced_memory()[1] - before) / (8.0 * d * d)
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - 5.0) <= 0.5, peak
+
+
+# Known defects, pinned against the 50-digit reference until their ROADMAP items land.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the gap 1 - beta1 = 1e-7 loses digits")
+def test_a_gap_of_1e_7_keeps_the_stationary_error_to_1e_12():
+    # [[1 - a, a], [a, 1 - a]], a = 5e-8: 5.84e-10 below the truth at n = 2**53.
+    a = 5e-8
+    chain, f = mc.build_chain([[1.0 - a, a], [a, 1.0 - a]]), [0.0, 1.0]
+    spec = mc.EstimatorSpec(n=2**53, n0=0)
+    truth = reference_mse(chain.P, None, f, spec)
+    sharp = min(mc.bound_general_start(chain, chain.pi, f, spec, k).total for k in mc.NORM_KINDS)
+    assert abs(mc.stationary_error(chain, f, spec.n) / truth - 1) <= 1e-12
+    assert sharp >= truth
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the bounds use the least-squares pi")
+def test_the_sharp_bound_from_a_solved_tiny_pi_is_at_least_the_truth():
+    # pi_min 3.3e-10: the least-squares pi is 5.4e-4 off there, and the tightest
+    # sharp bound at nu = chain.pi is 1.04e-7 below the 50-digit MSE.
+    chain, f = mc.build_chain([[1.0 - 1.82e-10, 1.82e-10], [0.548, 0.452]]), [0.0, 1.0]
+    spec = mc.EstimatorSpec(n=1000, n0=100)
+    truth = reference_mse(chain.P, chain.pi, f, spec)
+    sharp = min(mc.bound_general_start(chain, chain.pi, f, spec, k).total for k in mc.NORM_KINDS)
+    assert sharp >= truth
+
+
+# ---------------------------------------------------------------------------
 # Guard rails
 # ---------------------------------------------------------------------------
 
@@ -613,35 +699,6 @@ def test_estimator_spec_validation():
         with pytest.raises(ValueError):
             mc.EstimatorSpec(n=n, n0=n0)
     assert mc.EstimatorSpec(n=3, n0=4).total == 7
-
-
-def test_naive_route_refuses_long_windows(two_state):
-    with pytest.raises(ValueError):
-        mc.exact_error_naive(
-            two_state, two_state.pi, [1.0, 0.0], mc.EstimatorSpec(n=51, n0=0)
-        )
-
-
-class _NoSteps:
-    """A transition matrix that fails the test on any product with it."""
-
-    __array_ufunc__ = None  # numpy defers ``q @ P`` to __rmatmul__
-
-    def __matmul__(self, other):
-        raise AssertionError("step taken")
-
-    __rmatmul__ = __matmul__
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_naive_route_refuses_a_walk_beyond_the_cap_before_stepping(n):
-    # The walk takes n0 + n - 1 steps: 2**27 start stepping, 2**27 + 1 do not.
-    chain = types.SimpleNamespace(size=2, pi=np.array([0.5, 0.5]), P=_NoSteps())
-    over, at = (mc.EstimatorSpec(n=n, n0=2**27 + k - n) for k in (2, 1))
-    with pytest.raises(BudgetOverflow, match=r"the walk takes 134217729 steps, cap is 134217728"):
-        mc.exact_error_naive(chain, [1.0, 0.0], [1.0, 0.0], over)
-    with pytest.raises(AssertionError, match="step taken"):
-        mc.exact_error_naive(chain, [1.0, 0.0], [1.0, 0.0], at)
 
 
 def test_oracle_refuses_huge_state_spaces(bd3):
