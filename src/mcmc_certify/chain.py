@@ -272,6 +272,7 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
         if np.max(np.abs(pi * chain.pi.sum() / chain.pi - 1.0)) > 1e-12:
             flux = pi[:, None] * P
             twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T, out=flux).max()))
+            object.__setattr__(twin, "_twin", None)  # its pi is the one balance gives
     object.__setattr__(chain, "_twin", twin)
     return twin or chain
 

@@ -562,6 +562,11 @@ def test_repeated_exact_calls_build_and_decompose_the_twin_once(monkeypatch):
         assert vars(mc.exact_error(chain, nu, f, spec)) == expected
     assert calls == [(32, 32)]
     assert _with_balanced_pi(chain) is _with_balanced_pi(chain) is not chain
+    # The twin is its own balanced chain, with no second search (the chain file
+    # loader hands the twin on, and exact_error balances what it is given).
+    monkeypatch.setattr(mc.chain, "_search_tree", None)
+    twin = _with_balanced_pi(chain)
+    assert _with_balanced_pi(twin) is twin
 
 
 def test_balanced_pi_needs_two_way_edges():
