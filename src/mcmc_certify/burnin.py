@@ -33,9 +33,9 @@ its per-call overhead on 1-element arrays.
 (type included), so the planners check only ``kind`` and evaluate bounds
 and suggestions on the query's values without checking them again.  The
 public ``bound_function``, ``suggested_burnin`` and
-``suggested_burnin_detail`` check their own arguments.  The suggestion's
-fixed-point logs reduce their argument by the nearest ``1 + j/64`` from a
-table built at import, so each atanh series is about 13 terms long.
+``suggested_burnin_detail`` check their own arguments by the same rules.
+The suggestion's fixed-point logs reduce their argument by the nearest
+``1 + j/64`` from a table built at import: each atanh series is about 13 terms.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ _CEIL_MARGIN = 1e-12
 _FIXED_BITS = 192
 _LOG2_FIXED = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D
 # _check_real's domains of the start constant C (a chained comparison, not
-# math.isfinite, which overflows on huge ints) and of the suggestion's beta.
+# math.isfinite, which overflows on huge ints) and of beta, 0 read as POWER_FLOOR.
 _C_RULE = (_ABOVE_ZERO, sys.float_info.max, "C must be a positive finite number")
-_BETA_RULE = (_ABOVE_ZERO, _BELOW_ONE, "beta must lie in (0, 1)")
+_BETA_RULE = (0.0, _BELOW_ONE, "beta must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ class BudgetQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", _check_count(self.N, 2, "budget N"))
-        beta = _check_real(self.beta, 0.0, _BELOW_ONE, "beta must lie in [0, 1)")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _check_real(self.beta, *_BETA_RULE))
         object.__setattr__(self, "C", _check_real(self.C, *_C_RULE))
 
 
@@ -175,7 +174,7 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
     ``beta = 2^-a`` and ``C = 2^b`` the logs are ``-a`` and ``b`` times
     ``_LOG2_FIXED``, so the outcome is exact; by unique factorisation these
     are the only floats whose ratio is rational.  For ``C <= 1``, ``n0 = 0``
-    and not borderline.
+    and not borderline; ``beta = 0`` reads as ``POWER_FLOOR``.
     The planners call the same code on a ``BudgetQuery``'s checked values.
     """
     return _suggestion(_check_real(beta, *_BETA_RULE), _check_real(C, *_C_RULE))
@@ -183,7 +182,7 @@ def suggested_burnin_detail(beta: float, C: float) -> BurninSuggestion:
 
 def _suggestion(beta: float, C: float) -> BurninSuggestion:
     """``suggested_burnin_detail`` on checked arguments."""
-    log_c, log_inv_beta = _log_fixed(C), -_log_fixed(beta)
+    log_c, log_inv_beta = _log_fixed(C), -_log_fixed(beta or POWER_FLOOR)
     nearest = (2 * log_c + log_inv_beta) // (2 * log_inv_beta)
     borderline = C > 1 and abs(log_c - nearest * log_inv_beta) * 10**9 < log_inv_beta
     n0 = max(-(-log_c // log_inv_beta), 0)
@@ -201,11 +200,11 @@ def suggested_burnin(beta: float, C: float) -> int:
 
 
 def _suggested_n0(beta: float, C: float) -> int:
-    """``suggested_burnin`` on checked arguments, ``beta = 0`` included."""
+    """``suggested_burnin`` on checked arguments."""
     ratio = math.log(C) / -_log_beta(beta)
     if abs(ratio - round(ratio)) > _CEIL_MARGIN * abs(ratio):
         return max(math.ceil(ratio), 0)
-    return _suggestion(beta or POWER_FLOOR, C).n0
+    return _suggestion(beta, C).n0
 
 
 def _log_beta(beta: float) -> float:

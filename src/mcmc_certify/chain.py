@@ -26,12 +26,14 @@ errors rather than warnings.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ChainError,
     NotErgodic,
     NotReversible,
     NotStochastic,
@@ -169,8 +171,8 @@ class ReversibleChain:
         ``max_{x,y} |pi[x] P[x,y] - pi[y] P[y,x]|`` actually observed.
 
     What is derived from the chain is kept on it, made on first use: its
-    :func:`spectral_decompose` result and its detailed-balance twin
-    (``_with_balanced_pi``).  ``copy.copy`` carries both.
+    :func:`spectral_decompose` result and its detailed-balance twin, a chain
+    :func:`build_chain` admits (``_with_balanced_pi``).  ``copy.copy`` carries both.
     """
 
     # Set by spectral_decompose.  Declared first, so a chain frees its
@@ -248,14 +250,15 @@ def _search_tree(weights: np.ndarray) -> np.ndarray:
 def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
     """``chain`` with pi re-derived by detailed balance along a search tree.
 
-    Each state takes ``pi_y = pi_x P_xy / P_yx`` from its parent on the
-    two-way edges, so every entry is accurate to about depth-many ulp of its
-    own size; a least-squares solve is accurate to eps absolute.  The chain
-    comes back as it is if the two-way edges do not connect all states, or if
-    its pi, scaled to the same sum, is already within 1e-12 relative: a pi
-    sums to 1 only within ``ROW_TOL``, so the shape decides.  The first call
-    stores the twin (None for the chain itself, so no reference cycle forms),
-    and later calls return that same object, decomposition included.
+    Each state takes ``pi_y = pi_x P_xy / P_yx`` from its parent on the two-way
+    edges, so every entry is accurate to about depth-many ulp of its own size; a
+    least-squares solve is accurate to eps absolute.  The twin is ``build_chain(P,
+    pi)``, so it holds its own copy of P: d**2 doubles more.  The chain comes back
+    as it is if the two-way edges do not connect all states, if ``build_chain``
+    refuses that pi, or if its pi, scaled to the same sum, is already within 1e-12
+    relative: a pi sums to 1 only within ``ROW_TOL``, so the shape decides.  The
+    first call stores the twin (None for the chain itself, so no reference cycle
+    forms), and later calls return that same object, decomposition included.
     """
     if "_twin" in vars(chain):
         return vars(chain)["_twin"] or chain
@@ -270,9 +273,9 @@ def _with_balanced_pi(chain: ReversibleChain) -> ReversibleChain:
         pi = ratio / ratio.max()
         pi /= pi.sum()
         if np.max(np.abs(pi * chain.pi.sum() / chain.pi - 1.0)) > 1e-12:
-            flux = pi[:, None] * P
-            twin = ReversibleChain(P, _readonly(pi), float(np.abs(flux - flux.T, out=flux).max()))
-            object.__setattr__(twin, "_twin", None)  # its pi is the one balance gives
+            with contextlib.suppress(ChainError):
+                twin = build_chain(P, pi)
+                object.__setattr__(twin, "_twin", None)  # its pi is the one balance gives
     object.__setattr__(chain, "_twin", twin)
     return twin or chain
 

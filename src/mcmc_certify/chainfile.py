@@ -7,8 +7,8 @@ offending key; the matrix/vector contents are then validated by the chain
 constructors, which report row/column indices themselves.  The chain size
 cap is one of those checks: :func:`~mcmc_certify.chain.as_transition_matrix`
 makes it before any array is built.  The chain comes back with pi re-derived by
-detailed balance (``_with_balanced_pi``), so every verb reports on the one chain
-that :func:`~mcmc_certify.exact_error.exact_error` works on, and decomposes it once.
+detailed balance where :func:`build_chain` admits that pi (``_with_balanced_pi``), so
+every verb reports on the chain ``exact_error`` works on, and decomposes it once.
 """
 
 from __future__ import annotations

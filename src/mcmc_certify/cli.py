@@ -255,8 +255,7 @@ def cmd_burnin(args) -> int:
         plan = half_budget_plan(query, args.kind)
     else:
         plan = suggested_plan(query, args.kind)
-        if query.beta > 0.0:
-            borderline = suggested_burnin_detail(query.beta, query.C).borderline
+        borderline = suggested_burnin_detail(query.beta, query.C).borderline
     doc = {
         "strategy": plan.strategy,
         "kind": args.kind,

@@ -330,8 +330,10 @@ def test_suggested_burnin_trivial_constant():
 
 
 def test_suggested_burnin_validation():
-    with pytest.raises(ValueError):
-        mc.suggested_burnin(0.0, 10.0)
+    # beta = 0 is admitted, as by BudgetQuery, and read as POWER_FLOOR.
+    assert [mc.suggested_burnin(0.0, C) for C in (10.0, 0.5)] == [1, 0]
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+        mc.suggested_burnin(-1e-300, 10.0)
     with pytest.raises(ValueError):
         mc.suggested_burnin(1.0, 10.0)
     with pytest.raises(ValueError, match="beta .* an integer of 16610 bits$"):

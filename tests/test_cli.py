@@ -228,11 +228,12 @@ def test_burnin_budget_above_2_pow_53_exits_2(package_env):
 @pytest.mark.parametrize("C, n0", [("10", 1), ("0.5", 0)])
 def test_burnin_zero_beta_suggests_the_smallest_sufficient_burnin(capsys, C, n0):
     """The smallest n0 with C 0^n0 <= 1, which is optimize's split; the
-    borderline flag stays unset, as suggested_burnin_detail refuses beta = 0."""
+    borderline flag is a boolean, as suggested_burnin_detail reads beta = 0
+    as POWER_FLOOR."""
     argv = ["burnin", "--beta", "0", "--C", C, "--N", "100", "--json"]
     code, doc = run_json(capsys, argv)
     assert code == 0
-    assert (doc["n0"], doc["borderline"]) == (n0, None)
+    assert (doc["n0"], doc["borderline"]) == (n0, False)
     _, opt = run_json(capsys, argv + ["--strategy", "optimize"])
     assert (doc["n0"], doc["bound_value"]) == (opt["n0"], opt["bound_value"])
 
@@ -400,6 +401,30 @@ def test_a_chain_file_is_decomposed_once(capsys, tmp_path, monkeypatch):
     solved, _ = _tiny_pi_files(tmp_path)
     assert cli.main(["error", solved, "1000", "100", "--exact", "--json"]) == 0
     assert calls == [(2, 2)]
+
+
+# Reversible only within REV_TOL, pi not given: the pi balanced along the search
+# tree leaves a residual of 2.9e-10, so build_chain refuses it.
+NEARLY_REVERSIBLE = {
+    "P": [[0.9991983965035871, 0.0004008018932064128, 0.0004008016032064128],
+          [0.4, 0.19999999970999996, 0.40000000029000005],
+          [0.40000000029000005, 0.4, 0.19999999970999996]],
+    "nu": [0.0, 0.0, 1.0],
+    "f": [0.0, 1.0, 2.0],
+}
+
+
+def test_a_chain_file_is_reported_on_a_chain_that_build_chain_admits(capsys, tmp_path):
+    # The file's chain keeps its own pi where the balanced one breaks REV_TOL:
+    # the residual was 2.9e-10 and the exact MSE 9.1e-8 off the MSE of P.
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEARLY_REVERSIBLE))
+    _, doc = run_json(capsys, ["analyze", str(path), "--json"])
+    assert doc["reversibility_residual"] <= 1e-10
+    _, doc = run_json(capsys, ["error", str(path), "1000", "10", "--exact", "--json"])
+    naive = mc.exact_error_naive(mc.build_chain(NEARLY_REVERSIBLE["P"]), NEARLY_REVERSIBLE["nu"],
+                                 NEARLY_REVERSIBLE["f"], mc.EstimatorSpec(n=1000, n0=10))
+    assert abs(doc["exact"]["mse"] / naive - 1) <= 1e-9
 
 
 def test_exit_code_trapped_start(capsys, tmp_path):

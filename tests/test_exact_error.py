@@ -9,6 +9,7 @@ test.
 """
 
 import collections
+import contextlib
 import importlib
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import mcmc_certify as mc
 from mcmc_certify.chain import _with_balanced_pi
-from mcmc_certify.errors import BudgetOverflow, TooLarge
+from mcmc_certify.errors import BudgetOverflow, ChainError, TooLarge
 
 from chain_strategies import (
     forward_exact_mse,
@@ -569,6 +570,55 @@ def test_repeated_exact_calls_build_and_decompose_the_twin_once(monkeypatch):
     assert _with_balanced_pi(twin) is twin
 
 
+def nearly_reversible_chains(count, seed):
+    """``count`` seeded Metropolis chains, d in [3, 11], pi = exp(N(0, 2)) and
+    a random symmetric proposal, each with a 3-cycle of size 10**U(-12, -9)
+    added (P[a, b] += delta, P[a, a] -= delta around a -> b -> c -> a) and
+    pi solved; those build_chain refuses are drawn again.  f is uniform."""
+    rng = np.random.default_rng(seed)
+    while count:
+        d = int(rng.integers(3, 12))
+        moves = rng.uniform(size=(d, d))
+        pi = np.exp(rng.normal(0.0, 2.0, d))
+        P = np.array(metropolis_chain(pi / pi.sum(), (moves + moves.T) / (2 * d)).P)
+        cycle = rng.choice(d, 3, replace=False)
+        delta = 10.0 ** rng.uniform(-12.0, -9.0)
+        P[cycle, np.roll(cycle, -1)] += delta
+        P[cycle, cycle] -= delta
+        f = rng.uniform(size=d)
+        with contextlib.suppress(ChainError):
+            yield mc.build_chain(P), f
+            count -= 1
+
+
+def test_a_balanced_twin_is_a_chain_build_chain_admits():
+    # The twin's pi, balanced along the search tree, puts the cycle on the
+    # other edges' residual: 64 of these twins broke REV_TOL, by up to 100x,
+    # and exact_error on them was up to 1.2e-7 off the MSE of P.  Where
+    # build_chain refuses the twin, the chain keeps its own pi (5.9e-10).
+    spec = mc.EstimatorSpec(n=1000, n0=10)
+    for chain, f in nearly_reversible_chains(360, 35):
+        twin = _with_balanced_pi(chain)
+        mc.build_chain(twin.P, twin.pi)
+        if twin is chain:
+            nu = np.eye(chain.size)[0]
+            exact = mc.exact_error(chain, nu, f, spec).mse
+            assert abs(exact / mc.exact_error_naive(chain, nu, f, spec) - 1) <= 5e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: an admitted twin's pi is not "
+                   "the stationary vector of a P that is reversible only within REV_TOL")
+def test_exact_error_on_a_nearly_reversible_chain_is_the_mse_of_p():
+    # 295 of the 360 chains keep a twin that build_chain admits.  Its pi moves
+    # the mean of f, and so the bias term: exact_error is up to 1.8e-7 off the
+    # MSE of P, where the same chains on their own pi are within 1.3e-8.
+    spec = mc.EstimatorSpec(n=1000, n0=10)
+    for chain, f in nearly_reversible_chains(360, 35):
+        nu = np.eye(chain.size)[0]
+        exact = mc.exact_error(chain, nu, f, spec).mse
+        assert abs(exact / mc.exact_error_naive(chain, nu, f, spec) - 1) <= 5e-8
+
+
 def test_balanced_pi_needs_two_way_edges():
     # A one-way cycle has no two-way edge to balance along: the chain is
     # left as it is.
@@ -662,6 +712,28 @@ def test_naive_route_peaks_at_five_dense_buffers():
     finally:
         tracemalloc.stop()
     assert abs(peak - 5.0) <= 0.5, peak
+
+
+@pytest.mark.parametrize("solve_pi, buffers", [(False, 5.55), (True, 7.55)])
+def test_exact_error_peaks_at_its_stated_dense_buffers(solve_pi, buffers):
+    # From the last state with n = 1000, n0 = 100, beyond what it held before:
+    # 5.55 d**2 doubles at d = 512, where its 256-row blocks are half of d**2.
+    # With pi solved it builds and decomposes the balanced twin, which holds
+    # its own copy of P and eigenfunctions: 2 d**2 more.
+    d = 512
+    P = mc.birth_death_matrix(np.full(d - 1, 0.306), np.full(d - 1, 0.3))
+    w = np.cumprod(np.concatenate([[1.0], np.full(d - 1, 1.02)]))
+    chain = mc.build_chain(P) if solve_pi else mc.build_chain(P, w / w.sum())
+    mc.spectral_decompose(chain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mc.exact_error(chain, np.eye(d)[d - 1], np.arange(d) / (d - 1),
+                       mc.EstimatorSpec(n=1000, n0=100))
+        peak = (tracemalloc.get_traced_memory()[1] - before) / (8.0 * d * d)
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - buffers) <= 0.1 * buffers, peak
 
 
 # Known defects, pinned against the 50-digit reference until their ROADMAP items land.
